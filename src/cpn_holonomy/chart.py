@@ -12,8 +12,8 @@ epsilon0. Reversing the product order changes the frame and every downstream
 sign, so it is fixed here once.
 
 Functions with a trailing underscore-free "batch" variant accept arrays of
-shape (..., n) and return matching batched matrices; these are the hot paths
-for the loop integrator and the propagators.
+shape (..., n) and return matching batched matrices or vectors; these are
+the hot paths for the loop integrator and the propagators.
 """
 from __future__ import annotations
 
@@ -81,8 +81,8 @@ class HamiltonianFamily:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be a positive integer")
-        if self.epsilon0 <= 0:
-            raise ValueError("epsilon0 must be positive")
+        if not (np.isfinite(self.epsilon0) and self.epsilon0 > 0):
+            raise ValueError(f"epsilon0 must be finite and positive, got {self.epsilon0!r}")
 
     @property
     def dim(self) -> int:
@@ -112,6 +112,23 @@ def frame_unitary_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
         r[..., n, n] = c
         u = r @ u  # alpha = 1 acts first: left-accumulate
     return u
+
+
+def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Level-(n+1) eigenstates for a batch of points; theta/phi (..., n) -> (..., n+1).
+
+    Closed form of frame column n+1: v_j = e^{i phi_j} sin(theta_j)
+    prod_{k<j} cos(theta_k) for j <= n and v_{n+1} = prod_k cos(theta_k),
+    O(n) per point instead of the n rotation matmuls of the full frame.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    cos_prefix = np.cumprod(np.cos(theta), axis=-1)
+    v = np.empty(theta.shape[:-1] + (theta.shape[-1] + 1,), dtype=complex)
+    v[..., 0] = np.exp(1j * phi[..., 0]) * np.sin(theta[..., 0])
+    v[..., 1:-1] = np.exp(1j * phi[..., 1:]) * np.sin(theta[..., 1:]) * cos_prefix[..., :-1]
+    v[..., -1] = cos_prefix[..., -1]
+    return v
 
 
 def frame_unitary(p: ControlPoint) -> np.ndarray:
@@ -157,10 +174,3 @@ def hamiltonian_at(f: HamiltonianFamily, p: ControlPoint) -> np.ndarray:
         raise ValueError(f"dimension mismatch: family n={f.n}, point n={p.n}")
     v = eigenstate(p, p.n + 1)
     return f.epsilon0 * np.outer(v, v.conj())
-
-
-def hamiltonians_batch(f: HamiltonianFamily, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Batched H(lambda): theta/phi (..., n) -> (..., n+1, n+1)."""
-    frames = frame_unitary_batch(theta, phi)
-    v = frames[..., :, f.n]
-    return f.epsilon0 * v[..., :, None] * v.conj()[..., None, :]

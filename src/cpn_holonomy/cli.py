@@ -154,8 +154,6 @@ def _loop_from_args(args) -> tuple[LoopPath, int]:
 
 
 def cmd_verify(args) -> str:
-    if args.time <= 0:
-        raise ValueError("--time must be positive")
     loop, segs = _loop_from_args(args)
     fam = HamiltonianFamily(loop.n, args.epsilon0)
     sched = Schedule(loop, args.time, steps=args.steps)
@@ -170,6 +168,8 @@ def cmd_kick(args) -> str:
     n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not n_list:
         raise ValueError("--n-list must contain at least one interval count")
+    if min(n_list) < 1 or args.ref_steps < 1:
+        raise ValueError("--n-list entries and --ref-steps must be >= 1")
     fam = HamiltonianFamily(loop.n, args.epsilon0)
     ref = propagate_frames(fam, loop, args.time, args.ref_steps)
     rows = []

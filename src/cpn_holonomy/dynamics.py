@@ -1,12 +1,19 @@
 """Dynamical verification: adiabatic Schrodinger transport and the pulse-kick scheme.
 
 Both verifiers integrate actual time evolution under H(lambda(t)) and are
-independent of the connection/holonomy code paths: the adiabatic route uses
-an exponential-midpoint unitary stepper on the full (n+1)-level problem; the
-kick route interleaves exact free evolution with frame kicks. The code
-subspace sits at eigenvalue 0 at every chart point, so no dynamical phase
-accrues on the code and the extracted transport matrix can be compared to a
-loop holonomy directly.
+independent of the connection/holonomy code paths. H = epsilon0 |v><v| with
+v the excited eigenvector, so every step with H frozen at one chart point is
+the exact rank-1 update
+
+    exp(-i H dt) = I + (e^{-i epsilon0 dt} - 1) |v><v|,
+
+and one stepper serves both routes; they differ only in where they sample
+lambda. The adiabatic route samples interval midpoints (exponential
+midpoint rule, second order in dt); the kick route samples left endpoints,
+which makes each step exactly a frame kick around exact free evolution,
+F exp(-i H0 dt) F†. The code subspace sits at eigenvalue 0 at every chart
+point, so no dynamical phase accrues on the code and the extracted transport
+matrix can be compared to a loop holonomy directly.
 
 Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
@@ -22,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .chart import HamiltonianFamily, frame_unitary, frame_unitary_batch
+from .chart import HamiltonianFamily, excited_state_batch, frame_unitary, frame_unitary_batch
 from .gates import GateProgram, realize_step_as_loop, split_step
 from .holonomy import UnitaryMatrix, holonomy
 from .loops import LoopPath, _split_coord
@@ -36,6 +43,13 @@ def smoothstep(x):
     return 3.0 * x**2 - 2.0 * x**3
 
 
+def _check_time_and_count(total_time: float, count: int, name: str):
+    if not (np.isfinite(total_time) and total_time > 0):
+        raise ValueError(f"total time must be finite and positive, got {total_time!r}")
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Time parametrization of one closed loop traversal."""
@@ -46,10 +60,7 @@ class Schedule:
     ramp: Callable = smoothstep
 
     def __post_init__(self):
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _check_time_and_count(self.total_time, self.steps, "steps")
         s0, s1 = float(self.ramp(0.0)), float(self.ramp(1.0))
         if abs(s0) > 1e-12 or abs(s1 - 1.0) > 1e-12:
             raise ValueError("ramp must satisfy s(0)=0 and s(T)=1")
@@ -83,21 +94,26 @@ def _arclength_interpolator(loop: LoopPath):
     return lam
 
 
+def _rank1_product(f: HamiltonianFamily, thetas: np.ndarray, phis: np.ndarray,
+                   dt: float) -> np.ndarray:
+    """Ordered product of exp(-i H(lambda_k) dt) over the sample points, later left."""
+    v = excited_state_batch(thetas, phis)
+    factors = (np.exp(-1j * f.epsilon0 * dt) - 1.0) * v[:, :, None] * v.conj()[:, None, :]
+    factors += np.eye(f.dim)
+    return linalg.fold_left(factors)
+
+
 def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
                      steps: int, ramp: Callable = smoothstep) -> np.ndarray:
     """Full (n+1)-dim propagator for one ramped traversal of the loop.
 
     Exponential midpoint rule: U = prod exp(-i H(lambda(s(t_mid))) dt), later
-    factors left; each factor is exactly unitary.
+    factors left; each factor is an exact rank-1 step.
     """
+    _check_time_and_count(total_time, steps, "steps")
     lam = _arclength_interpolator(loop)
-    x_mid = (np.arange(steps) + 0.5) / steps
-    th, ph = lam(ramp(x_mid))
-    frames = frame_unitary_batch(th, ph)
-    v = frames[..., :, f.n]
-    h = f.epsilon0 * v[..., :, None] * v.conj()[..., None, :]
-    factors = linalg.expm_hermitian_prop(h, total_time / steps)
-    return linalg.fold_left(factors)
+    th, ph = lam(ramp((np.arange(steps) + 0.5) / steps))
+    return _rank1_product(f, th, ph, total_time / steps)
 
 
 @dataclass
@@ -171,8 +187,8 @@ class KickPlan:
     phis: np.ndarray  # (N+1, n)
 
     def __post_init__(self):
-        if self.delta_t <= 0:
-            raise ValueError("delta_t must be positive")
+        if not (np.isfinite(self.delta_t) and self.delta_t > 0):
+            raise ValueError(f"delta_t must be finite and positive, got {self.delta_t!r}")
         th = np.asarray(self.thetas, dtype=float)
         ph = np.asarray(self.phis, dtype=float)
         if th.ndim != 2 or th.shape != ph.shape or th.shape[1] != self.n or th.shape[0] < 2:
@@ -195,6 +211,7 @@ class KickPlan:
     def from_loop(cls, loop: LoopPath, total_time: float, num_intervals: int,
                   ramp: Callable = smoothstep) -> "KickPlan":
         """Sample the ramped loop traversal at the kick times t_i = i dt."""
+        _check_time_and_count(total_time, num_intervals, "num_intervals")
         lam = _arclength_interpolator(loop)
         s = ramp(np.arange(num_intervals + 1) / num_intervals)
         th, ph = lam(s)
@@ -204,16 +221,13 @@ class KickPlan:
 def kick_evolution(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
     """Ordered product of frame(lambda_i) exp(-i H0 dt) frame(lambda_i)†, later left.
 
-    Free evolution is exact (H0 is diagonal); with all lambda_i at the base
-    point every kick cancels and the product telescopes to exp(-i H0 T).
+    Each kick factor is the rank-1 step at the interval's left endpoint
+    lambda_i; with all lambda_i at the base point every kick cancels and the
+    product telescopes to exp(-i H0 T).
     """
     if f.n != plan.n:
         raise ValueError("family and plan dimensions disagree")
-    frames = frame_unitary_batch(plan.thetas[:-1], plan.phis[:-1])
-    free = np.ones(f.dim, dtype=complex)
-    free[f.n] = np.exp(-1j * f.epsilon0 * plan.delta_t)
-    factors = np.einsum("bij,j,bkj->bik", frames, free, frames.conj())
-    return linalg.fold_left(factors)
+    return _rank1_product(f, plan.thetas[:-1], plan.phis[:-1], plan.delta_t)
 
 
 def kick_code_block(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:

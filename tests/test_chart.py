@@ -4,7 +4,7 @@ import pytest
 
 from cpn_holonomy import (ControlPoint, HamiltonianFamily, eigenstate, frame_unitary,
                           hamiltonian_at)
-from cpn_holonomy.chart import frame_unitary_batch
+from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
 
 
 def random_point(rng, n, margin=0.0):
@@ -166,3 +166,23 @@ def test_batched_frames_match_scalar():
     batch = frame_unitary_batch(th, ph)
     for k, p in enumerate(pts):
         assert np.max(np.abs(batch[k] - frame_unitary(p))) < 1e-14
+
+
+def test_excited_state_batch_closed_form():
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 5):
+        th = rng.uniform(0, np.pi / 2, (3, 4, n))
+        ph = rng.uniform(0, 2 * np.pi, (3, 4, n))
+        v = excited_state_batch(th, ph)
+        assert v.shape == (3, 4, n + 1)
+        assert np.max(np.abs(v - frame_unitary_batch(th, ph)[..., :, n])) < 1e-15
+        for idx in np.ndindex(3, 4):
+            expect = eigenstate(ControlPoint(n, th[idx], ph[idx]), n + 1)
+            assert np.max(np.abs(v[idx] - expect)) < 1e-15
+    assert np.array_equal(excited_state_batch(np.zeros(3), np.zeros(3)), [0, 0, 0, 1])
+
+
+def test_family_rejects_nonfinite_energy():
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            HamiltonianFamily(2, bad)

@@ -165,6 +165,23 @@ def test_kick_empty_nlist_exits_2(capsys):
     assert main(["kick", "--name", "crot", "--n-list", ",", "--time", "5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kick", "--name", "xor", "--n-list", "0"],
+    ["kick", "--name", "xor", "--n-list", "250,-4"],
+    ["kick", "--name", "xor", "--n-list", "250", "--ref-steps", "0"],
+    ["kick", "--name", "xor", "--n-list", "250", "--time", "inf"],
+    ["kick", "--name", "xor", "--n-list", "250", "--time", "nan"],
+    ["verify", "--name", "crot", "--time", "inf"],
+    ["verify", "--name", "crot", "--time", "nan"],
+    ["verify", "--name", "crot", "--time", "40", "--epsilon0", "inf"],
+])
+def test_oracle_bad_time_or_count_exits_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 # ---------- circuit ----------
 
 def test_circuit_subcommand(tmp_path, capsys):

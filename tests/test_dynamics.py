@@ -1,11 +1,14 @@
 """Dynamical verifiers: adiabatic transport, kick scheme, timescale advisory."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from cpn_holonomy import (GateStep, HamiltonianFamily, KickPlan, LoopPath, Schedule,
-                          adiabatic_transport, holonomy, kick_code_block, kick_evolution,
-                          primitive_holonomy, program_schedule, propagate_frames,
-                          realize_step_as_loop, timescale_check, two_qubit_gate)
+from cpn_holonomy import (ControlPoint, GateStep, HamiltonianFamily, KickPlan, LoopPath,
+                          Schedule, adiabatic_transport, hamiltonian_at, holonomy,
+                          kick_code_block, kick_evolution, primitive_holonomy,
+                          program_schedule, propagate_frames, realize_step_as_loop,
+                          timescale_check, two_qubit_gate)
+from cpn_holonomy.dynamics import _arclength_interpolator, smoothstep
 from cpn_holonomy.linalg import max_abs_diff, unitarity_defect
 
 C1_QUARTER = GateStep("C1", 1, None, np.pi / 4)
@@ -106,6 +109,60 @@ def test_propagator_unitarity():
     loop = realize_step_as_loop(GateStep("C3", 1, 2, 0.7), 2)
     u = propagate_frames(fam, loop, 50.0, 1200)
     assert unitarity_defect(u) < 1e-9
+    # every factor carries the same rounding of exp(-i eps0 dt), so the defect
+    # grows linearly in the step count even with a pairwise product
+    u = propagate_frames(HamiltonianFamily(4), program_schedule(two_qubit_gate("CROT")),
+                         4000.0, 80000)
+    assert unitarity_defect(u) <= 1e-11
+
+
+def test_propagator_second_order():
+    # midpoint sampling is second order in dt; left endpoints would be first order
+    fam = HamiltonianFamily(2)
+    loop = realize_step_as_loop(GateStep("C3", 1, 2, 0.7), 2)
+    ref = propagate_frames(fam, loop, 50.0, 2 ** 17)
+    errs = [max_abs_diff(propagate_frames(fam, loop, 50.0, steps), ref)
+            for steps in (1000, 2000, 4000, 8000)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.5 <= coarse / fine <= 4.5
+
+
+def _random_loop(rng, n, vertices=5):
+    th = rng.uniform(0.1, 1.4, (vertices, n))
+    ph = rng.uniform(0.1, 6.0, (vertices, n))
+    th[-1], ph[-1] = th[0], ph[0]
+    return LoopPath(n, th, ph)
+
+
+def _dense_product(fam, thetas, phis, dt):
+    """prod_k expm(-i H(lambda_k) dt), later left, from the dense Hamiltonian."""
+    u = np.eye(fam.dim, dtype=complex)
+    for th, ph in zip(thetas, phis):
+        h = hamiltonian_at(fam, ControlPoint(fam.n, th, ph))
+        u = expm(-1j * h * dt) @ u
+    return u
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_rank1_stepper_matches_dense_expm(n):
+    rng = np.random.default_rng(40 + n)
+    fam = HamiltonianFamily(n, epsilon0=1.3)
+    loop = _random_loop(rng, n)
+    total, steps = 30.0, 300
+    th, ph = _arclength_interpolator(loop)(smoothstep((np.arange(steps) + 0.5) / steps))
+    expect = _dense_product(fam, th, ph, total / steps)
+    assert max_abs_diff(propagate_frames(fam, loop, total, steps), expect) <= 1e-12
+
+    plan = KickPlan.from_loop(loop, total, steps)
+    expect = _dense_product(fam, plan.thetas[:-1], plan.phis[:-1], plan.delta_t)
+    assert max_abs_diff(kick_evolution(fam, plan), expect) <= 1e-12
+
+
+@pytest.mark.parametrize("total,steps", [(0.0, 10), (-1.0, 10), (np.inf, 10),
+                                         (np.nan, 10), (10.0, 0)])
+def test_propagate_frames_validation(total, steps):
+    with pytest.raises(ValueError):
+        propagate_frames(HamiltonianFamily(1), c1_loop(), total, steps)
 
 
 def test_transport_leakage_warning():
@@ -120,6 +177,9 @@ def test_schedule_validation():
         Schedule(loop, 0.0)
     with pytest.raises(ValueError):
         Schedule(loop, 10.0, steps=0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            Schedule(loop, bad)
     with pytest.raises(ValueError):
         Schedule(loop, 10.0, ramp=lambda x: x + 1.0)
 
@@ -167,6 +227,13 @@ def test_kick_plan_validation():
         KickPlan(1, -0.1, np.zeros((3, 1)), np.zeros((3, 1)))
     with pytest.raises(ValueError, match="return"):
         KickPlan(1, 0.1, np.array([[0.0], [0.4]]), np.zeros((2, 1)))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            KickPlan(1, bad, np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            KickPlan.from_loop(c1_loop(), bad, 10)
+    with pytest.raises(ValueError, match="num_intervals"):
+        KickPlan.from_loop(c1_loop(), 10.0, 0)
 
 
 # ---------- timescale advisory ----------
