@@ -7,8 +7,8 @@ independent dynamical verifiers (adiabatic Schrodinger transport and the
 repeated-pulse kick scheme).
 """
 from .chart import ControlPoint, HamiltonianFamily, eigenstate, frame_unitary, hamiltonian_at
-from .connection import (ConnectionValue, DiscretizationError, connection_analytic,
-                         connection_numeric)
+from .connection import (ConnectionValue, DiscretizationError, connection_along,
+                         connection_analytic, connection_numeric)
 from .dynamics import (KickPlan, Schedule, TimescaleReport, adiabatic_transport,
                        kick_code_block, kick_evolution, program_schedule,
                        propagate_frames, smoothstep, timescale_check)
@@ -23,7 +23,8 @@ from .multipartite import (CostReport, EmbeddedGate, Register, apply_circuit,
 
 __all__ = [
     "ControlPoint", "HamiltonianFamily", "frame_unitary", "eigenstate", "hamiltonian_at",
-    "ConnectionValue", "connection_analytic", "connection_numeric", "DiscretizationError",
+    "ConnectionValue", "connection_along", "connection_analytic", "connection_numeric",
+    "DiscretizationError",
     "LoopPath", "PlaneTag", "concatenate", "reverse", "enclosed_area",
     "rectangle_loop", "circle_loop", "l_shape_loop", "loop_from_plane_vertices",
     "UnitaryMatrix", "UnitarityError", "holonomy",

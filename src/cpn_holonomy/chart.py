@@ -41,6 +41,8 @@ class ControlPoint:
         ph = np.atleast_1d(np.asarray(self.phi, dtype=float)).copy()
         if th.shape != (self.n,) or ph.shape != (self.n,):
             raise ValueError(f"theta and phi must both have length n={self.n}")
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
+            raise ValueError("theta and phi entries must be finite")
         if np.any(th < -_ANGLE_TOL) or np.any(th > THETA_MAX + _ANGLE_TOL):
             raise ValueError("theta entries must lie in [0, pi/2]")
         th = np.clip(th, 0.0, THETA_MAX)

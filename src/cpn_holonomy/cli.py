@@ -98,7 +98,7 @@ def cmd_connection(args) -> str:
 
 def cmd_holonomy(args) -> str:
     loop, segs = LoopPath.from_json_dict(_load_json_file(args.loop))
-    if args.segments:
+    if args.segments is not None:
         segs = args.segments
     u = holonomy(loop, segs)
     out = u.to_json_dict()
@@ -205,6 +205,8 @@ def cmd_circuit(args) -> str:
 
 
 def cmd_sweep(args) -> str:
+    if args.cases < 1:
+        raise ValueError("--cases must be >= 1")
     rng = np.random.default_rng(args.seed)
     rows: list[dict] = []
     if args.kind == "random-rects":

@@ -5,16 +5,22 @@ matrices over the code frame, with entries A_{r,c} = <psi_r | d/d(coord) psi_c>
 (row = bra index, column = differentiated state). Two independent evaluation
 routes are provided:
 
-- connection_analytic: closed trigonometric formulas with the exact sparsity
-  pattern (A^{theta_b} supported on row/column b below the diagonal block;
-  A^{phi_b} supported on the leading b x b block);
+- connection_along: one closed form for the connection along a direction,
+  A_delta = sum_b d_theta_b A^{theta_b} + d_phi_b A^{phi_b}. The frame is
+  U = R_n ... R_1, so each component conjugates the sparse generator
+  R_b† d R_b by the prefix frame R_{b-1} ... R_1. On the code this is a
+  rank <= 3 term built from the unit vector u_b and w_b, row n+1 of the
+  prefix frame. Only the levels a batch touches (the moving ones and the
+  support of their w_b) are returned; every other entry is exactly zero.
+  connection_analytic evaluates it on the 2n unit directions, and the loop
+  integrator on its segment midpoints;
 - connection_numeric: central-difference differentiation of the closed-form
   eigenframe, projected on the frame at the point.
 
 The numeric route always differentiates the same smooth frame section
 (never a per-point eigensolver), so no gauge jumps enter the comparison.
-The analytic formulas were cross-validated against the numeric route; the
-suite re-checks the agreement at random points.
+The suite checks the closed form against the numeric route and against the
+per-entry trigonometric formulas at random and boundary points.
 """
 from __future__ import annotations
 
@@ -67,67 +73,67 @@ class ConnectionValue:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
 
 
-def theta_component_batch(theta: np.ndarray, phi: np.ndarray, beta: int) -> np.ndarray:
-    """A^{theta_beta} for a batch of points; theta/phi (..., n) -> (..., n, n).
+def connection_along(theta: np.ndarray, phi: np.ndarray, d_theta: np.ndarray,
+                     d_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_delta = sum_b d_theta_b A^{theta_b} + d_phi_b A^{phi_b} for a batch of points.
 
-    Nonzero entries sit at (r, beta) for r < beta, value
-    e^{i(phi_r - phi_beta)} sin(theta_r) prod_{r<g<beta} cos(theta_g),
-    with the (beta, r) mirror fixed by anti-hermiticity.
+    theta, phi, d_theta, d_phi broadcast to one shape (..., n). Returns
+    (levels, block): levels holds the sorted 0-based code levels the batch
+    touches, block (..., k, k) is A_delta on levels x levels. Every entry of
+    the n x n component outside that block is exactly zero.
+
+    With c_b, s_b = cos, sin(theta_b), e_b = e^{i phi_b}, u_b the b-th unit
+    vector and w_b = row n+1 of the prefix frame R_{b-1}...R_1 on the code
+    columns (w_1 = 0, w_{b+1} = c_b w_b - s_b conj(e_b) u_b), level b adds
+    k11 u_b u_b^T + k12 u_b w_b^T - conj(k12) conj(w_b) u_b^T - k11 conj(w_b) w_b^T,
+    k11 = -i s_b^2 d_phi_b, k12 = e_b (d_theta_b + i c_b s_b d_phi_b). Only
+    levels whose coordinates vary contribute; they and the support of their
+    w_b are the touched levels.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    n = theta.shape[-1]
-    b = beta - 1
-    m = np.zeros(theta.shape[:-1] + (n, n), dtype=complex)
-    for a in range(b):
-        amp = np.sin(theta[..., a]) * np.prod(np.cos(theta[..., a + 1: b]), axis=-1)
-        val = np.exp(1j * (phi[..., a] - phi[..., b])) * amp
-        m[..., a, b] = val
-        m[..., b, a] = -np.conj(val)
-    return m
+    theta, phi, d_theta, d_phi = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (theta, phi, d_theta, d_phi)))
+    batch_axes = tuple(range(theta.ndim - 1))
+    moving = np.any((d_theta != 0) | (d_phi != 0), axis=batch_axes)
+    if not moving.any():
+        return np.flatnonzero(moving), np.zeros(theta.shape[:-1] + (0, 0), dtype=complex)
+    # Levels above the last moving one enter no w_b; a level with theta == 0
+    # throughout has c = 1, s = 0 and enters none either, so both are dropped.
+    top = np.flatnonzero(moving)[-1]
+    cand = np.flatnonzero((moving | np.any(theta != 0, axis=batch_axes))[: top + 1])
+    c, s, e = np.cos(theta[..., cand]), np.sin(theta[..., cand]), np.exp(1j * phi[..., cand])
+    var = np.flatnonzero(moving[cand])  # positions in cand of the moving levels
+    w = np.zeros(c.shape, dtype=complex)
+    rows = []
+    for j in range(cand.size):
+        if moving[cand[j]]:
+            rows.append(w.copy())
+        w[..., :j] *= c[..., j, None]
+        w[..., j] = -s[..., j] * e[..., j].conj()
+    w = np.stack(rows, axis=-2)  # (..., v, len(cand)): w_b of each moving level b
+    keep = np.flatnonzero(np.any(w != 0, axis=batch_axes + (w.ndim - 2,)) | moving[cand])
+    w = w[..., keep]
 
-
-def phi_component_batch(theta: np.ndarray, phi: np.ndarray, beta: int) -> np.ndarray:
-    """A^{phi_beta} for a batch of points; supported on the leading beta x beta block.
-
-    Column beta (rows r <= beta):
-        -i e^{i(phi_r - phi_beta)} sin(theta_beta) sin(theta_r)
-           prod_{r<g<=beta} cos(theta_g)
-    Columns c < beta (rows r <= c):
-        +i e^{i(phi_r - phi_c)} sin(theta_c) sin(theta_r) sin^2(theta_beta)
-           prod_{c<g<beta} cos(theta_g) prod_{r<g<beta} cos(theta_g)
-    Lower-triangle mirrors are filled by anti-hermiticity.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    n = theta.shape[-1]
-    b = beta - 1
-    m = np.zeros(theta.shape[:-1] + (n, n), dtype=complex)
-    sin_b = np.sin(theta[..., b])
-    for a in range(b + 1):
-        amp = sin_b * np.sin(theta[..., a]) * np.prod(np.cos(theta[..., a + 1: b + 1]), axis=-1)
-        val = -1j * np.exp(1j * (phi[..., a] - phi[..., b])) * amp
-        m[..., a, b] = val
-        if a < b:
-            m[..., b, a] = -np.conj(val)
-    for c in range(b):
-        cos_cb = np.prod(np.cos(theta[..., c + 1: b]), axis=-1)
-        for a in range(c + 1):
-            amp = (np.sin(theta[..., c]) * np.sin(theta[..., a]) * sin_b**2
-                   * cos_cb * np.prod(np.cos(theta[..., a + 1: b]), axis=-1))
-            val = 1j * np.exp(1j * (phi[..., a] - phi[..., c])) * amp
-            m[..., a, c] = val
-            if a < c:
-                m[..., c, a] = -np.conj(val)
-    return m
+    sv, cv, ev = s[..., var], c[..., var], e[..., var]
+    dth, dph = d_theta[..., cand[var]], d_phi[..., cand[var]]
+    k11 = (-1j * sv ** 2 * dph)[..., None]
+    k12 = (ev * (dth + 1j * cv * sv * dph))[..., None]
+    u = np.zeros((var.size, keep.size))
+    u[np.arange(var.size), np.searchsorted(keep, var)] = 1.0  # u_b of each moving level
+    # sum_b [u_b, conj(w_b)] [[k11, k12], [-conj(k12), -k11]] [u_b, w_b]^T as one product
+    left = np.concatenate([np.broadcast_to(u, w.shape), w.conj()], axis=-2).swapaxes(-1, -2)
+    right = np.concatenate([k11 * u + k12 * w, -k12.conj() * u - k11 * w], axis=-2)
+    block = left @ right
+    return cand[keep], block
 
 
 def connection_analytic(p: ControlPoint) -> ConnectionValue:
     """All 2n closed-form component matrices at p."""
     n = p.n
-    a_theta = np.stack([theta_component_batch(p.theta, p.phi, b) for b in range(1, n + 1)])
-    a_phi = np.stack([phi_component_batch(p.theta, p.phi, b) for b in range(1, n + 1)])
-    return ConnectionValue(n, a_theta, a_phi)
+    units = np.eye(2 * n)  # theta_1..theta_n, then phi_1..phi_n
+    levels, block = connection_along(p.theta, p.phi, units[:, :n], units[:, n:])
+    full = np.zeros((2 * n, n, n), dtype=complex)
+    full[:, levels[:, None], levels] = block
+    return ConnectionValue(n, full[:n], full[n:])
 
 
 def connection_numeric(p: ControlPoint, step: float = 1e-5,

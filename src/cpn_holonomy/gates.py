@@ -56,6 +56,8 @@ class GateStep:
             raise ValueError(f"{self.family} needs a beta_bar index")
         if self.family in ("C3", "C4") and self.beta_bar == self.beta:
             raise ValueError(f"{self.family} requires beta != beta_bar")
+        if not np.isfinite(self.area):
+            raise ValueError(f"area must be finite, got {self.area!r}")
 
     def validate_for(self, n: int):
         if not 1 <= self.beta <= n:

@@ -12,6 +12,13 @@ around the same loops and reproduces these matrices); with the signed-area
 conventions of loops.py it also reproduces the closed-form single-generator
 holonomies of all four loop families.
 
+The generators come from connection.connection_along, which returns them
+on the levels the loop touches: the levels whose coordinates move and the
+levels their prefix frames mix in. Every other generator entry is exactly
+zero, so the holonomy is exactly the identity there; only the touched block
+is exponentiated and multiplied, then embedded in the n x n identity. A loop
+that moves every coordinate touches all n levels.
+
 Midpoint evaluation with one exact exponential per segment is second-order
 accurate in the segment length; every factor is unitary by construction, so
 the only unitarity defect is accumulated roundoff (reported, and removed by
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .connection import phi_component_batch, theta_component_batch
+from .connection import connection_along
 from .loops import LoopPath
 
 ACCEPT_DEFECT = 1e-9
@@ -96,8 +103,8 @@ class UnitaryMatrix:
         }
 
 
-def _segment_generators(loop: LoopPath, segments_per_edge: int) -> np.ndarray:
-    """Transport generators -sum_mu A^mu(mid) dlam_mu for all sub-segments, in order."""
+def _segment_generators(loop: LoopPath, segments_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
+    """Touched levels and transport generators -A(mid) . dlam of all sub-segments, in order."""
     n = loop.n
     th, ph = loop.thetas, loop.phis
     m = th.shape[0] - 1
@@ -108,22 +115,16 @@ def _segment_generators(loop: LoopPath, segments_per_edge: int) -> np.ndarray:
     mid_ph = (ph[:-1, None, :] + (ph[1:] - ph[:-1])[:, None, :] * frac[None, :, None]).reshape(m * s, n)
     d_th = np.repeat((th[1:] - th[:-1]) / s, s, axis=0)
     d_ph = np.repeat((ph[1:] - ph[:-1]) / s, s, axis=0)
-
-    gen = np.zeros((m * s, n, n), dtype=complex)
-    for b in range(n):  # only coordinates that actually vary contribute
-        if np.any(d_th[:, b] != 0):
-            gen += theta_component_batch(mid_th, mid_ph, b + 1) * d_th[:, b, None, None]
-        if np.any(d_ph[:, b] != 0):
-            gen += phi_component_batch(mid_th, mid_ph, b + 1) * d_ph[:, b, None, None]
-    return -gen
+    levels, block = connection_along(mid_th, mid_ph, d_th, d_ph)
+    return levels, -block
 
 
 def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     """Loop holonomy on the n-dimensional code, by ordered segment exponentials."""
     if segments_per_edge < 1:
         raise ValueError("segments_per_edge must be >= 1")
-    if loop.is_degenerate():
-        return UnitaryMatrix.from_raw(np.eye(loop.n, dtype=complex))
-    gens = _segment_generators(loop, segments_per_edge)
-    factors = linalg.expm_antihermitian(gens)
-    return UnitaryMatrix.from_raw(linalg.fold_left(factors))
+    u = np.eye(loop.n, dtype=complex)
+    if not loop.is_degenerate():
+        levels, gens = _segment_generators(loop, segments_per_edge)
+        u[levels[:, None], levels] = linalg.fold_left(linalg.expm_antihermitian(gens))
+    return UnitaryMatrix.from_raw(u)

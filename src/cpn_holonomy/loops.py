@@ -77,6 +77,8 @@ class LoopPath:
         ph = np.asarray(self.phis, dtype=float)
         if th.ndim != 2 or th.shape != ph.shape or th.shape[1] != self.n or th.shape[0] < 3:
             raise ValueError("need matching (m, n) vertex arrays with m >= 3")
+        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
+            raise ValueError("loop vertices must be finite")
         if np.max(np.abs(th[0] - th[-1])) > CLOSURE_TOL or np.max(np.abs(ph[0] - ph[-1])) > CLOSURE_TOL:
             raise ValueError("loop is not closed: first and last vertices differ")
         if np.any(th < -CLOSURE_TOL) or np.any(th > np.pi / 2 + CLOSURE_TOL):

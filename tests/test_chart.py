@@ -154,6 +154,11 @@ def test_control_point_validation():
         ControlPoint(2, [0.1, 2.0], [0.0, 0.0])  # theta beyond pi/2
     with pytest.raises(ValueError):
         ControlPoint(2, [0.1], [0.0, 0.0])  # length mismatch
+    for bad in (np.nan, np.inf, -np.inf):  # NaN fails no comparison, so it is checked apart
+        with pytest.raises(ValueError, match="finite"):
+            ControlPoint(2, [0.1, bad], [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            ControlPoint(2, [0.1, 0.2], [bad, 0.0])
     p = ControlPoint(1, [0.3], [2 * np.pi + 0.5])
     assert abs(p.phi[0] - 0.5) < 1e-12  # stored reduced mod 2pi
 

@@ -84,6 +84,27 @@ def test_holonomy_loop_file(tmp_path, capsys):
     assert d["unitarity_defect"] < 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    ["connection", "--theta", "nan,0.3"],
+    ["holonomy", "--loop", "{nan_loop}"],
+    ["holonomy", "--loop", "{loop}", "--segments", "0"],  # not the loop file's own count
+    ["sweep", "--cases", "0", "--format", "csv"],
+    ["sweep", "--kind", "segments", "--loop", "{loop}", "--cases", "0"],
+    ["gate", "--name", "uph1", "--sigma1", "nan"],
+])
+def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
+    loop = json.loads(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
+                      .to_json(segments_per_edge=16))
+    files = {"loop": tmp_path / "loop.json", "nan_loop": tmp_path / "nan.json"}
+    files["loop"].write_text(json.dumps(loop))
+    loop["points"][1][0][0] = float("nan")  # json writes the NaN literal and reads it back
+    files["nan_loop"].write_text(json.dumps(loop))
+    assert main([a.format(**files) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 # ---------- gates ----------
 
 @pytest.mark.parametrize("name", ["crot", "xor", "swap"])

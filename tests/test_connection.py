@@ -1,9 +1,81 @@
-"""Connection component tests: closed formulas vs numeric differentiation."""
+"""Connection component tests: the prefix-frame closed form vs the per-entry
+trigonometric formulas and vs numeric differentiation."""
 import numpy as np
 import pytest
 
-from cpn_holonomy import (ControlPoint, DiscretizationError, connection_analytic,
-                          connection_numeric)
+from cpn_holonomy import (ControlPoint, DiscretizationError, connection_along,
+                          connection_analytic, connection_numeric)
+
+
+# ---------- per-entry closed forms: the oracle for connection_along ----------
+
+def theta_component_batch(theta: np.ndarray, phi: np.ndarray, beta: int) -> np.ndarray:
+    """A^{theta_beta} for a batch of points; theta/phi (..., n) -> (..., n, n).
+
+    Nonzero entries sit at (r, beta) for r < beta, value
+    e^{i(phi_r - phi_beta)} sin(theta_r) prod_{r<g<beta} cos(theta_g),
+    with the (beta, r) mirror fixed by anti-hermiticity.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    n = theta.shape[-1]
+    b = beta - 1
+    m = np.zeros(theta.shape[:-1] + (n, n), dtype=complex)
+    for a in range(b):
+        amp = np.sin(theta[..., a]) * np.prod(np.cos(theta[..., a + 1: b]), axis=-1)
+        val = np.exp(1j * (phi[..., a] - phi[..., b])) * amp
+        m[..., a, b] = val
+        m[..., b, a] = -np.conj(val)
+    return m
+
+
+def phi_component_batch(theta: np.ndarray, phi: np.ndarray, beta: int) -> np.ndarray:
+    """A^{phi_beta} for a batch of points; supported on the leading beta x beta block.
+
+    Column beta (rows r <= beta):
+        -i e^{i(phi_r - phi_beta)} sin(theta_beta) sin(theta_r)
+           prod_{r<g<=beta} cos(theta_g)
+    Columns c < beta (rows r <= c):
+        +i e^{i(phi_r - phi_c)} sin(theta_c) sin(theta_r) sin^2(theta_beta)
+           prod_{c<g<beta} cos(theta_g) prod_{r<g<beta} cos(theta_g)
+    Lower-triangle mirrors are filled by anti-hermiticity.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    n = theta.shape[-1]
+    b = beta - 1
+    m = np.zeros(theta.shape[:-1] + (n, n), dtype=complex)
+    sin_b = np.sin(theta[..., b])
+    for a in range(b + 1):
+        amp = sin_b * np.sin(theta[..., a]) * np.prod(np.cos(theta[..., a + 1: b + 1]), axis=-1)
+        val = -1j * np.exp(1j * (phi[..., a] - phi[..., b])) * amp
+        m[..., a, b] = val
+        if a < b:
+            m[..., b, a] = -np.conj(val)
+    for c in range(b):
+        cos_cb = np.prod(np.cos(theta[..., c + 1: b]), axis=-1)
+        for a in range(c + 1):
+            amp = (np.sin(theta[..., c]) * np.sin(theta[..., a]) * sin_b**2
+                   * cos_cb * np.prod(np.cos(theta[..., a + 1: b]), axis=-1))
+            val = 1j * np.exp(1j * (phi[..., a] - phi[..., c])) * amp
+            m[..., a, c] = val
+            if a < c:
+                m[..., c, a] = -np.conj(val)
+    return m
+
+
+def oracle_along(theta, phi, d_theta, d_phi) -> np.ndarray:
+    """Dense n x n A_delta = sum_b d_theta_b A^{theta_b} + d_phi_b A^{phi_b}, entry by entry."""
+    n = theta.shape[-1]
+    return sum(theta_component_batch(theta, phi, b + 1) * d_theta[..., b, None, None]
+               + phi_component_batch(theta, phi, b + 1) * d_phi[..., b, None, None]
+               for b in range(n))
+
+
+def embed_block(levels, block, n) -> np.ndarray:
+    full = np.zeros(block.shape[:-2] + (n, n), dtype=complex)
+    full[..., levels[:, None], levels] = block
+    return full
 
 
 def random_interior(rng, n, margin=0.05):
@@ -160,3 +232,70 @@ def test_json_dump_shape():
     assert len(d["a_theta"]) == 2
     assert len(d["a_theta"][0]) == 2 and len(d["a_theta"][0][0]) == 2
     assert len(d["a_theta"][0][0][0]) == 2  # [re, im] pairs
+
+
+# ---------- connection_along vs the per-entry oracle ----------
+
+def _check_along(theta, phi, d_theta, d_phi):
+    n = theta.shape[-1]
+    levels, block = connection_along(theta, phi, d_theta, d_phi)
+    ref = oracle_along(theta, phi, d_theta, d_phi)
+    outside = np.ones((n, n), dtype=bool)
+    outside[np.ix_(levels, levels)] = False
+    assert np.all(ref[..., outside] == 0.0)  # nothing is lost outside the touched block
+    return float(np.max(np.abs(embed_block(levels, block, n) - ref)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_along_matches_per_entry_forms_random(n):
+    rng = np.random.default_rng(100 + n)
+    worst = 0.0
+    for _ in range(6):
+        m = 40
+        theta = rng.uniform(0.0, np.pi / 2, (m, n))
+        phi = rng.uniform(0.0, 2 * np.pi, (m, n))
+        d_theta = rng.uniform(-1.0, 1.0, (m, n))
+        d_phi = rng.uniform(-1.0, 1.0, (m, n))
+        d_theta[:, rng.random(n) < 0.4] = 0.0  # coordinates that stay put
+        d_phi[:, rng.random(n) < 0.4] = 0.0
+        worst = max(worst, _check_along(theta, phi, d_theta, d_phi))
+    p = ControlPoint(n, theta[0], phi[0])
+    val = connection_analytic(p)
+    for b in range(1, n + 1):
+        worst = max(worst,
+                    float(np.max(np.abs(val.component("theta", b)
+                                        - theta_component_batch(p.theta, p.phi, b)))),
+                    float(np.max(np.abs(val.component("phi", b)
+                                        - phi_component_batch(p.theta, p.phi, b)))))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_along_matches_per_entry_forms_at_boundary(n):
+    # theta_a in {0, pi/2}: levels switched off (s = 0) or fully on (c = 0)
+    rng = np.random.default_rng(200 + n)
+    m = 60
+    theta = rng.choice([0.0, np.pi / 2], (m, n))
+    inner = rng.random((m, n)) < 0.3
+    theta[inner] = rng.uniform(0.0, np.pi / 2, inner.sum())
+    phi = rng.uniform(0.0, 2 * np.pi, (m, n))
+    d_theta = rng.uniform(-1.0, 1.0, (m, n))
+    d_phi = rng.uniform(-1.0, 1.0, (m, n))
+    assert _check_along(theta, phi, d_theta, d_phi) <= 1e-14
+    assert _check_along(np.zeros((m, n)), phi, d_theta, d_phi) == 0.0
+
+
+def test_along_touched_levels():
+    n = 6
+    theta = np.zeros((5, n))
+    phi = np.full((5, n), 0.4)
+    d_theta, d_phi = np.zeros((5, n)), np.zeros((5, n))
+    d_phi[:, 4] = 0.1
+    theta[:, 4] = 0.7
+    levels, block = connection_along(theta, phi, d_theta, d_phi)
+    assert levels.tolist() == [4] and block.shape == (5, 1, 1)  # C1 plane: one level
+    theta[:, 1] = 0.3  # a lower level the prefix frame mixes in
+    levels, _ = connection_along(theta, phi, d_theta, d_phi)
+    assert levels.tolist() == [1, 4]
+    levels, block = connection_along(theta, phi, 0 * d_theta, 0 * d_phi)
+    assert levels.size == 0 and block.shape == (5, 0, 0)

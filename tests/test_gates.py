@@ -55,6 +55,9 @@ def test_step_validation():
         GateStep("C3", 2, 2, 0.1)
     with pytest.raises(ValueError):
         GateStep("C2", 1, None, 0.1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GateStep("C1", 1, None, bad)
     with pytest.raises(ValueError):
         primitive_holonomy(GateStep("C1", 5, None, 0.1), 4)
 

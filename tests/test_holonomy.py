@@ -1,11 +1,13 @@
 """Holonomy engine: closed-form laws, loop algebra, convergence, shape invariance."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cpn_holonomy import (GateStep, LoopPath, PlaneTag, UnitarityError, UnitaryMatrix,
                           circle_loop, concatenate, enclosed_area, holonomy,
-                          l_shape_loop, primitive_holonomy, realize_step_as_loop,
-                          rectangle_loop, reverse)
+                          l_shape_loop, loop_from_plane_vertices, primitive_holonomy,
+                          realize_step_as_loop, rectangle_loop, reverse)
+from test_connection import oracle_along  # per-entry closed forms of the connection
 
 C1_PLANE = PlaneTag(("theta:1", "phi:1"))
 
@@ -167,6 +169,71 @@ def test_discretization_second_order_on_circle():
     err = [np.max(np.abs(holonomy(circle, s).matrix - expect)) for s in (2, 4, 8)]
     assert 3.0 < err[0] / err[1] < 5.0
     assert 3.0 < err[1] / err[2] < 5.0
+
+
+def _tilted_ellipse(plane, family):
+    """64-edge ellipse at 45 degrees: no mirror symmetry about either plane axis."""
+    a = np.linspace(0.0, 2 * np.pi, 65)[:-1]
+    x, y = 0.35 * np.cos(a), 0.15 * np.sin(a)
+    c = np.cos(np.pi / 4)
+    verts = [(0.75 + c * (u - v), 0.8 + c * (u + v)) for u, v in zip(x, y)]
+    return loop_from_plane_vertices(4, plane, verts, family)
+
+
+@pytest.mark.parametrize("family,plane,shape", [
+    ("C1", ("theta:2", "phi:2"), "circle"), ("C3", ("theta:1", "theta:3"), "circle"),
+    ("C4", ("theta:2", "theta:4"), "circle"), ("C1", ("theta:2", "phi:2"), "ellipse"),
+])
+def test_integrator_second_order(family, plane, shape):
+    # n = 4, 64 edges; the midpoint rule must quarter the error per doubling. On the
+    # circles the first-order term of off-centre sampling cancels by mirror symmetry,
+    # so the tilted ellipse is the case that tells midpoints from left endpoints.
+    tag = PlaneTag(plane, {"phi:2": np.pi / 2} if family == "C4" else {})
+    if shape == "circle":
+        loop = circle_loop(4, tag, (0.75, 0.8), 0.3, num_vertices=64, family=family)
+    else:
+        loop = _tilted_ellipse(tag, family)
+    (_, b), (_, bb) = loop.plane.axes()
+    step = GateStep(family, b, None if family == "C1" else bb, enclosed_area(loop, family))
+    expect = primitive_holonomy(step, 4).matrix
+    err = [holonomy(loop, s).distance(expect) for s in (1, 2, 4, 8, 16)]
+    ratios = np.array(err[:-1]) / np.array(err[1:])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
+def _dense_reference(loop, segments_per_edge):
+    """Full n x n generators from the per-entry forms, scipy expm, sequential product."""
+    th, ph = loop.thetas, loop.phis
+    frac = ((np.arange(segments_per_edge) + 0.5) / segments_per_edge)[None, :, None]
+    mid_th = (th[:-1, None] + (th[1:] - th[:-1])[:, None] * frac).reshape(-1, loop.n)
+    mid_ph = (ph[:-1, None] + (ph[1:] - ph[:-1])[:, None] * frac).reshape(-1, loop.n)
+    d_th = np.repeat((th[1:] - th[:-1]) / segments_per_edge, segments_per_edge, axis=0)
+    d_ph = np.repeat((ph[1:] - ph[:-1]) / segments_per_edge, segments_per_edge, axis=0)
+    u = np.eye(loop.n, dtype=complex)
+    for g in oracle_along(mid_th, mid_ph, d_th, d_ph):
+        u = expm(-g) @ u  # later segments on the left
+    return u
+
+
+@pytest.mark.parametrize("family,plane,frozen", [
+    ("C1", ("theta:16", "phi:16"), {}),
+    ("C2", ("theta:5", "phi:16"), {"theta:16": np.pi / 2}),
+    ("C3", ("theta:3", "theta:16"), {"theta:1": 0.4, "theta:9": 0.9}),
+    ("C4", ("theta:7", "theta:12"), {"phi:7": np.pi / 2, "theta:2": 0.6}),
+])
+def test_touched_block_matches_dense_reference(family, plane, frozen):
+    n = 16
+    circle = circle_loop(n, PlaneTag(plane, frozen), (0.7, 0.8), 0.3, num_vertices=32,
+                         family=family)
+    got = holonomy(circle, 4).matrix
+    assert np.max(np.abs(got - _dense_reference(circle, 4))) <= 1e-12
+
+
+def test_all_coordinate_loop_matches_dense_reference():
+    rng = np.random.default_rng(101)
+    loop = random_wiggle_loop(rng, 16, num_verts=8, amp=0.2)
+    got = holonomy(loop, 8).matrix
+    assert np.max(np.abs(got - _dense_reference(loop, 8))) <= 1e-12
 
 
 def test_open_loop_rejected():

@@ -97,6 +97,14 @@ def test_phi_range_enforced():
         LoopPath(1, np.zeros((3, 1)), np.array([[0.0], [7.0], [0.0]]))
 
 
+def test_nonfinite_vertices_rejected():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LoopPath(1, np.array([[0.0], [bad], [0.0]]), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="finite"):
+            LoopPath(1, np.zeros((3, 1)), np.array([[0.0], [bad], [0.0]]))
+
+
 def test_concatenate_requires_shared_base():
     a = rectangle_loop(1, C1_PLANE, 0.4, 0.4, clockwise=True, family="C1")
     shifted = loop_from_plane_vertices(
