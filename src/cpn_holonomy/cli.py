@@ -8,10 +8,14 @@ seed for randomized sweeps) produce byte-identical bytes.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure (a matrix
 failed its unitarity certification).
+
+`main(argv)` is reentrant: it builds its parser once per process and keeps
+no state between calls, so library code and tests may call it repeatedly.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -87,7 +91,7 @@ def cmd_connection(args) -> str:
     else:
         theta = parse_angle_list(args.theta) if args.theta else []
         phi = parse_angle_list(args.phi) if args.phi else [0.0] * len(theta)
-        n = args.n or len(theta)
+        n = len(theta) if args.n is None else args.n
         if not theta:
             theta = [0.0] * n
         if len(phi) < len(theta):
@@ -129,7 +133,7 @@ def cmd_gate(args) -> str:
 def cmd_compile(args) -> str:
     d = _load_json_file(args.target)
     target = dec_matrix(d["matrix"] if isinstance(d, dict) else d)
-    n = args.n or max(args.beta_bar, 2)
+    n = max(args.beta_bar, 2) if args.n is None else args.n
     program = compile_u2_block(target, args.beta, args.beta_bar, n)
     embedded = embed_two_level(target, args.beta, args.beta_bar, n)
     dist = program.evaluate().distance_up_to_phase(embedded)
@@ -210,9 +214,11 @@ def cmd_sweep(args) -> str:
     rng = np.random.default_rng(args.seed)
     rows: list[dict] = []
     if args.kind == "random-rects":
+        n = 4 if args.n is None else args.n
+        if n < (1 if args.family == "C1" else 2):
+            raise ValueError("--n must be >= 2 for random-rects (>= 1 with --family C1)")
         for case in range(args.cases):
             family = args.family or str(rng.choice(FAMILIES))
-            n = args.n or 4
             if family == "C1":
                 beta, beta_bar = int(rng.integers(1, n + 1)), None
             elif family == "C2":
@@ -255,6 +261,7 @@ def cmd_sweep(args) -> str:
 
 # ---------- parser ----------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpn-holo",

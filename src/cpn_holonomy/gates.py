@@ -180,13 +180,6 @@ class GateProgram:
                 u = holonomy(realize_step_as_loop(part, self.n), segments_per_edge).matrix @ u
         return UnitaryMatrix.from_raw(u)
 
-    def realized_loops(self, split: bool = True) -> list[LoopPath]:
-        out = []
-        for s in self.steps:
-            parts = split_step(s) if split else [s]
-            out.extend(realize_step_as_loop(p, self.n) for p in parts)
-        return out
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "steps": [s.to_json_dict() for s in self.steps],
                 "residual_phase": float(self.residual_phase)}

@@ -70,7 +70,6 @@ class LoopPath:
     phis: np.ndarray
     plane: PlaneTag | None = None
     family: str | None = None
-    orientation: int = 1
 
     def __post_init__(self):
         th = np.asarray(self.thetas, dtype=float)
@@ -85,8 +84,6 @@ class LoopPath:
             raise ValueError("theta vertices must lie in [0, pi/2]")
         if np.any(ph < 0) or np.any(ph >= 2 * np.pi):
             raise ValueError("phi vertices must lie in [0, 2pi)")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         if self.family is not None and self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         th = th.copy(); ph = ph.copy()
@@ -108,11 +105,11 @@ class LoopPath:
 
     @classmethod
     def from_points(cls, points: list[ControlPoint], plane: PlaneTag | None = None,
-                    family: str | None = None, orientation: int = 1) -> "LoopPath":
+                    family: str | None = None) -> "LoopPath":
         n = points[0].n
         th = np.stack([p.theta for p in points])
         ph = np.stack([p.phi for p in points])
-        return cls(n, th, ph, plane, family, orientation)
+        return cls(n, th, ph, plane, family)
 
     @property
     def num_vertices(self) -> int:
@@ -174,14 +171,13 @@ def concatenate(a: LoopPath, b: LoopPath) -> LoopPath:
         np.concatenate([a.phis, b.phis[1:]]),
         plane=a.plane if same_plane else None,
         family=a.family if (same_plane and a.family == b.family) else None,
-        orientation=a.orientation,
     )
 
 
 def reverse(loop: LoopPath) -> LoopPath:
-    """Same loop traversed backwards; orientation marker flipped."""
+    """Same loop traversed backwards."""
     return LoopPath(loop.n, loop.thetas[::-1], loop.phis[::-1],
-                    plane=loop.plane, family=loop.family, orientation=-loop.orientation)
+                    plane=loop.plane, family=loop.family)
 
 
 # ---------- oriented enclosed areas ----------

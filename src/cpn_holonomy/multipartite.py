@@ -31,7 +31,6 @@ class Register:
 
     n_qubits: int
     ancilla_sign: int = +1  # +1 -> code C^+, -1 -> code C^-
-    ancilla_energy: float = 1.0  # splitting scale of the ancilla; bookkeeping only
 
     def __post_init__(self):
         if not 2 <= self.n_qubits <= 6:

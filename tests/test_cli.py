@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpn_holonomy import GateStep, realize_step_as_loop
-from cpn_holonomy.cli import main, parse_angle
+from cpn_holonomy.cli import build_parser, main, parse_angle
 
 
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+SIGMA_X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
 
 
 # ---------- angle parsing ----------
@@ -91,12 +95,21 @@ def test_holonomy_loop_file(tmp_path, capsys):
     ["sweep", "--cases", "0", "--format", "csv"],
     ["sweep", "--kind", "segments", "--loop", "{loop}", "--cases", "0"],
     ["gate", "--name", "uph1", "--sigma1", "nan"],
+    # an explicit --n below the minimum is an error, never a silent default
+    ["connection", "--n", "0", "--theta", "0.1,0.2"],
+    ["compile", "--target", "{target}", "--beta", "1", "--beta-bar", "2", "--n", "0"],
+    ["sweep", "--n", "0"],
+    ["sweep", "--n", "1"],
+    ["sweep", "--n", "1", "--family", "C2"],
+    ["sweep", "--n", "0", "--family", "C1"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = json.loads(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
                       .to_json(segments_per_edge=16))
-    files = {"loop": tmp_path / "loop.json", "nan_loop": tmp_path / "nan.json"}
+    files = {"loop": tmp_path / "loop.json", "nan_loop": tmp_path / "nan.json",
+             "target": tmp_path / "target.json"}
     files["loop"].write_text(json.dumps(loop))
+    files["target"].write_text(json.dumps({"matrix": SIGMA_X}))
     loop["points"][1][0][0] = float("nan")  # json writes the NaN literal and reads it back
     files["nan_loop"].write_text(json.dumps(loop))
     assert main([a.format(**files) for a in argv]) == 2
@@ -122,7 +135,7 @@ def test_gate_unknown_name_exits_2(capsys):
 
 
 def test_compile_subcommand(tmp_path, capsys):
-    target = {"matrix": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]}  # sigma_x
+    target = {"matrix": SIGMA_X}
     path = tmp_path / "target.json"
     path.write_text(json.dumps(target))
     code, out = run_cli(["compile", "--target", str(path), "--beta", "1",
@@ -230,6 +243,64 @@ def test_seeded_sweep_byte_identical():
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b
     assert json.loads(a)["seed"] == 123
+
+
+def _fresh_cli(argv):
+    """Exit code and stdout of one call in a new interpreter."""
+    proc = subprocess.run([sys.executable, "-m", "cpn_holonomy.cli", *argv],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # main() reuses one parser per process: every subcommand runs with
+    # non-default options and then with its defaults, and each output must
+    # equal a fresh interpreter's, so no option value leaks into a later call
+    loop = tmp_path / "loop.json"
+    loop.write_text(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
+                    .to_json(segments_per_edge=8))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"matrix": SIGMA_X}))
+    circ = tmp_path / "circ.json"
+    circ.write_text(json.dumps([{"pair": [1, 2], "gate": "XOR"}]))
+    kick = ["kick", "--loop", str(loop), "--n-list", "10,20", "--time", "5",
+            "--ref-steps", "256"]
+    calls = [
+        ["connection", "--n", "2", "--theta", "pi/4,0.3", "--phi", "0,1.1",
+         "--out", str(tmp_path / "conn.json")],
+        ["connection", "--theta", "pi/4"],
+        ["holonomy", "--loop", str(loop), "--segments", "4"],
+        ["holonomy", "--loop", str(loop)],
+        ["gate", "--name", "uph1", "--sigma1", "0.3", "--sigma3", "pi/5",
+         "--segments", "8", "--tol", "1e-2"],
+        ["gate", "--name", "uph1", "--segments", "8"],
+        ["compile", "--target", str(target), "--beta", "1", "--beta-bar", "2",
+         "--n", "4", "--tol", "1e-12"],
+        ["compile", "--target", str(target), "--beta", "1", "--beta-bar", "2"],
+        ["verify", "--loop", str(loop), "--time", "400", "--steps", "2000",
+         "--epsilon0", "2", "--tol", "1e-2"],
+        ["verify", "--loop", str(loop), "--time", "400"],
+        kick + ["--format", "json", "--epsilon0", "2"],
+        kick,
+        ["circuit", "--circuit", str(circ), "--qubits", "2", "--state", "10",
+         "--ancilla", "-", "--no-monolithic"],
+        ["circuit", "--circuit", str(circ), "--qubits", "2", "--state", "10"],
+        ["sweep", "--family", "C3", "--n", "3", "--cases", "2", "--segments", "4",
+         "--seed", "5", "--format", "csv"],
+        ["sweep", "--cases", "2"],
+    ]
+    got = [run_cli(argv, capsys) for argv in calls]
+    with pytest.raises(SystemExit) as exc:
+        main(["holonomy"])  # usage error: no --loop
+    assert exc.value.code == 2
+    capsys.readouterr()
+    after_error = run_cli(calls[3], capsys)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        fresh = list(pool.map(_fresh_cli, calls))
+    for argv, a, b in zip(calls, got, fresh):
+        assert a == b, argv
+    assert after_error == fresh[3]
+    assert build_parser() is build_parser()
 
 
 def test_sweep_seed_changes_output(capsys):

@@ -58,7 +58,6 @@ def test_reverse_negates_area_and_is_involutive():
     back = reverse(rev)
     assert np.array_equal(back.thetas, loop.thetas)
     assert np.array_equal(back.phis, loop.phis)
-    assert back.orientation == loop.orientation
 
 
 def test_lshape_area_is_rect_minus_notch():
