@@ -2,9 +2,12 @@
 
 Subcommands: connection, holonomy, gate, compile, verify, kick, circuit,
 sweep. Angle-valued arguments accept pi-literals such as "pi", "pi/2",
-"-3pi/4" alongside plain floats, so areas stay exact. All JSON output is
-emitted with sorted keys and fixed layout: identical inputs (including the
-seed for randomized sweeps) produce byte-identical bytes.
+"-3pi/4" alongside plain floats, so areas stay exact; a negative angle may
+follow its option as its own token ("--sigma1 -pi/4"). All JSON output goes
+through `dump_json`, whose bytes are those of
+`json.dumps(obj, sort_keys=True, indent=2)` plus a newline; complex values
+are [re, im] pairs from `linalg.complex_pairs`. Identical inputs (including
+the seed for randomized sweeps) produce byte-identical bytes.
 
 Exit codes: 0 success, 2 usage/input error, 3 numerical failure (a matrix
 failed its unitarity certification).
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 
@@ -57,16 +61,82 @@ def parse_angle_list(text: str) -> list[float]:
     return [parse_angle(tok) for tok in text.split(",") if tok.strip()]
 
 
-def enc_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-
-
 def dec_matrix(rows: list) -> np.ndarray:
     return np.array([[complex(re_, im) for re_, im in row] for row in rows])
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of `json.dumps(obj, sort_keys=True, indent=2) + "\n"`.
+
+    Takes dict with str keys, list, tuple, str, int, float, bool and None as
+    json does, and float64 ndarrays, written as their `tolist()` would be:
+    each array goes through one cached layout with a slot per float. Any
+    other type, and any non-str key, raises TypeError. (json's C encoder
+    skips indented output, which made json.dumps the slow part of small
+    calls.)
+    """
+    return _encode(obj, 0) + "\n"
+
+
+def _encode(obj, level: int) -> str:
+    """JSON text of obj whose first line sits at indent depth `level`."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype == np.float64:
+        if not np.isfinite(obj).all():  # NaN / Infinity need json's literals
+            return _encode(obj.tolist(), level)
+        return _array_layout(obj.shape, level) % tuple(map(float.__repr__, obj.ravel().tolist()))
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return _block("[", [_encode(x, level + 1) for x in obj], level, "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        if not all(isinstance(key, str) for key in obj):
+            raise TypeError("JSON object keys must be str")
+        return _block("{", [_encode_str(key) + ": " + _encode(obj[key], level + 1)
+                            for key in sorted(obj)], level, "}")
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _block(open_: str, items: list[str], level: int, close: str) -> str:
+    """Non-empty array or object: one item per line, two spaces per depth."""
+    pad = "\n" + "  " * (level + 1)
+    return open_ + pad + ("," + pad).join(items) + "\n" + "  " * level + close
+
+
+@functools.lru_cache(maxsize=64)
+def _array_layout(shape: tuple[int, ...], level: int) -> str:
+    """Text of a finite float array of this shape at depth `level`, '%s' per float."""
+    if not shape:
+        return "%s"
+    if shape[0] == 0:
+        return "[]"
+    return _block("[", [_array_layout(shape[1:], level + 1)] * shape[0], level, "]")
 
 
 def _emit(args, text: str):
@@ -121,9 +191,9 @@ def cmd_gate(args) -> str:
     return dump_json({
         "name": args.name.upper(),
         "program": program.to_json_dict(),
-        "matrix": enc_matrix(evaluated.matrix),
-        "matrix_integrated": enc_matrix(integrated.matrix),
-        "target": enc_matrix(target),
+        "matrix": linalg.complex_pairs(evaluated.matrix),
+        "matrix_integrated": linalg.complex_pairs(integrated.matrix),
+        "target": linalg.complex_pairs(target),
         "fidelity": linalg.phase_fidelity(integrated.matrix, target),
         "distance_up_to_phase": dist,
         "within_tol": bool(dist < args.tol),
@@ -139,7 +209,7 @@ def cmd_compile(args) -> str:
     dist = program.evaluate().distance_up_to_phase(embedded)
     return dump_json({
         "program": program.to_json_dict(),
-        "matrix": enc_matrix(program.evaluate().matrix),
+        "matrix": linalg.complex_pairs(program.evaluate().matrix),
         "distance_up_to_phase": dist,
         "residual_phase": program.residual_phase,
         "within_tol": bool(dist < args.tol),
@@ -162,7 +232,7 @@ def cmd_verify(args) -> str:
     fam = HamiltonianFamily(loop.n, args.epsilon0)
     sched = Schedule(loop, args.time, steps=args.steps)
     transport, diag = adiabatic_transport(fam, sched, segments_per_edge=segs)
-    report = {"transport": enc_matrix(transport.matrix), **diag.to_json_dict(),
+    report = {"transport": linalg.complex_pairs(transport.matrix), **diag.to_json_dict(),
               "within_tol": bool(diag.distance_to_holonomy < args.tol)}
     return dump_json(report)
 
@@ -202,7 +272,7 @@ def cmd_circuit(args) -> str:
     state = apply_circuit(reg, circuit, reg.basis_state(args.state))
     cost = gate_count(circuit, args.qubits, monolithic=not args.no_monolithic)
     return dump_json({
-        "state": [[float(z.real), float(z.imag)] for z in state],
+        "state": linalg.complex_pairs(state),
         "ancilla_minus_weight": reg.ancilla_minus_weight(state),
         "cost": cost.to_json_dict(),
     })
@@ -340,9 +410,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_ANGLE_OPTIONS = frozenset({"--sigma1", "--sigma3", "--time", "--theta", "--phi"})
+_NEGATIVE_ANGLE_RE = re.compile(r"-(?:\.?\d|\s*pi)", re.IGNORECASE)
+
+
+def _join_negative_angles(argv: list[str]) -> list[str]:
+    """Rewrite `--opt -<angle>` as `--opt=-<angle>` for the angle-valued options.
+
+    argparse reads a token that starts with '-' as an option unless it is a
+    plain negative number, so '-pi/4', '-1e-05' and '-0.5,0.3' would not
+    reach parse_angle as values.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _ANGLE_OPTIONS and _NEGATIVE_ANGLE_RE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_angles(sys.argv[1:] if argv is None else argv))
     try:
         text = args.func(args)
     except UnitarityError as exc:

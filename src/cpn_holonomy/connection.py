@@ -24,11 +24,11 @@ per-entry trigonometric formulas at random and boundary points.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .chart import THETA_MAX, ControlPoint, frame_unitary_batch
 
 ANTIHERMITICITY_TOL = 1e-10
@@ -63,14 +63,9 @@ class ConnectionValue:
         return d
 
     def to_json_dict(self) -> dict:
-        def enc(stack):
-            return [[[[float(z.real), float(z.imag)] for z in row] for row in m] for m in stack]
-
-        # 1-based beta index: position k in each list is the coordinate beta = k + 1
-        return {"n": self.n, "a_theta": enc(self.a_theta), "a_phi": enc(self.a_phi)}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
+        # 1-based beta index: position k along the first axis is the coordinate beta = k + 1
+        return {"n": self.n, "a_theta": linalg.complex_pairs(self.a_theta),
+                "a_phi": linalg.complex_pairs(self.a_phi)}
 
 
 def connection_along(theta: np.ndarray, phi: np.ndarray, d_theta: np.ndarray,

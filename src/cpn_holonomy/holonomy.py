@@ -98,7 +98,7 @@ class UnitaryMatrix:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "entries": [[[float(z.real), float(z.imag)] for z in row] for row in self.entries],
+            "entries": linalg.complex_pairs(self.entries),
             "unitarity_defect": float(self.defect),
         }
 

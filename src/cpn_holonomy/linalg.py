@@ -70,6 +70,15 @@ def dist_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:
     return max_abs_diff(u / phase, v)
 
 
+def complex_pairs(m: np.ndarray) -> np.ndarray:
+    """Float64 array of shape m.shape + (2,) holding [re, im] of each entry.
+
+    The JSON form of every complex matrix, stack and state vector.
+    """
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m.real, m.imag], axis=-1)
+
+
 def phase_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|tr(V†U)| / dim, the global-phase-insensitive overlap."""
     d = u.shape[-1]

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cpn_holonomy import GateStep, realize_step_as_loop
-from cpn_holonomy.cli import build_parser, main, parse_angle
+from cpn_holonomy.cli import build_parser, dump_json, main, parse_angle
 
 
 def run_cli(args, capsys):
@@ -45,6 +46,29 @@ def test_parse_angle_rejects_garbage():
     for bad in ("pie", "2x", "pi/0", ""):
         with pytest.raises(ValueError):
             parse_angle(bad)
+
+
+@pytest.mark.parametrize("argv,option,value", [
+    (["gate", "--name", "uph1", "--segments", "4"], "--sigma1", "-pi/4"),
+    (["gate", "--name", "uph1", "--segments", "4"], "--sigma1", "-3pi/4"),
+    (["gate", "--name", "uph1", "--segments", "4"], "--sigma3", "-1e-05"),
+    (["gate", "--name", "uph1", "--segments", "4"], "--sigma3", "-0.25"),
+    (["connection", "--theta", "0.1,0.2"], "--phi", "-0.5,0.3"),
+    (["connection"], "--theta", "-0.5,0.3"),  # out of the chart: exit 2 both ways
+    (["verify", "--name", "crot"], "--time", "-pi"),  # Schedule rejects it: exit 2
+    (["kick", "--name", "xor", "--n-list", "10", "--ref-steps", "16"], "--time", "-1e-05"),
+])
+def test_negative_angle_as_own_token(argv, option, value, capsys):
+    # argparse alone reads '-pi/4' or '-1e-05' after an option as another option
+    split = main(argv + [option, value]), capsys.readouterr()
+    joined = main(argv + [f"{option}={value}"]), capsys.readouterr()
+    assert split == joined
+    code, captured = split
+    if argv[0] in ("verify", "kick") or option == "--theta":
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    else:
+        assert code == 0 and json.loads(captured.out)
 
 
 # ---------- connection ----------
@@ -232,6 +256,76 @@ def test_circuit_subcommand(tmp_path, capsys):
     assert np.max(np.abs(state - expect)) < 1e-12
     assert d["ancilla_minus_weight"] == 0.0
     assert d["cost"]["total_local"] == 3
+
+
+# ---------- JSON writer ----------
+
+def _reference_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+KEYS = st.text() | st.sampled_from(["", '"', "\n", "\\", "\u00e9", "\u2603", "\U0001f600", "a\tb"])
+FLOATS = st.floats() | st.sampled_from([-0.0, 1e-05, 1e16, 5e-324, float("nan"),
+                                        float("inf"), -float("inf")])
+SCALARS = (st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | FLOATS | st.text()
+           | st.sampled_from([[], {}, ()]))
+FLOAT_ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0,
+                                                       max_side=3), elements=FLOATS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                    | st.lists(inner, max_size=4).map(tuple)
+                    | st.dictionaries(KEYS, inner, max_size=4), max_leaves=20))
+def test_dump_json_matches_json_dumps(obj):
+    assert dump_json(obj) == _reference_json(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FLOAT_ARRAYS, st.booleans(), st.integers(0, 3))
+def test_dump_json_float_arrays_match_their_lists(a, transpose, depth):
+    # an ndarray is written as its tolist() would be, at any nesting depth,
+    # including 0-d arrays, zero-length axes and non-contiguous views
+    if transpose:
+        a = a.T
+    wrapped, listed = a, a.tolist()
+    for _ in range(depth):
+        wrapped, listed = {"k": [wrapped, 1]}, {"k": [listed, 1]}
+    assert dump_json(wrapped) == _reference_json(listed)
+
+
+@pytest.mark.parametrize("obj", [
+    np.int64(3), {"a": np.int64(1)}, np.zeros((2, 2), dtype=complex), np.zeros(3, dtype=np.float32),
+    np.arange(3), {1: 2.0}, {"a": 1, 2: "b"}, {None: 1}, {1.5: 1}, [set()], object(),
+])
+def test_dump_json_rejects_what_it_cannot_write(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj)
+
+
+def test_cli_json_is_canonical(tmp_path, capsys):
+    # every JSON subcommand prints exactly what json.dumps prints for the same data
+    loop = tmp_path / "loop.json"
+    loop.write_text(realize_step_as_loop(GateStep("C2", 1, 2, 0.7), 3).to_json(segments_per_edge=4))
+    target = tmp_path / "target.json"
+    target.write_text(json.dumps({"matrix": SIGMA_X}))
+    circ = tmp_path / "circ.json"
+    circ.write_text(json.dumps([{"pair": [1, 2], "gate": "CROT"}, {"pair": [2, 3], "gate": "XOR"}]))
+    calls = [
+        ["connection", "--theta", "pi/4,0.3,1.2", "--phi", "0,1.1,-0.25"],
+        ["holonomy", "--loop", str(loop)],
+        ["gate", "--name", "crot", "--segments", "8"],
+        ["compile", "--target", str(target), "--beta", "2", "--beta-bar", "3"],
+        ["verify", "--loop", str(loop), "--time", "400", "--steps", "400"],
+        ["kick", "--loop", str(loop), "--n-list", "10,20", "--time", "5", "--ref-steps", "64",
+         "--format", "json"],
+        ["circuit", "--circuit", str(circ), "--qubits", "3", "--state", "101"],
+        ["sweep", "--cases", "3", "--n", "3", "--segments", "4", "--seed", "9"],
+    ]
+    for argv in calls:
+        code, out = run_cli(argv, capsys)
+        assert code == 0, argv
+        assert out == _reference_json(json.loads(out)), argv
 
 
 # ---------- determinism ----------

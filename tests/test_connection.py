@@ -2,6 +2,8 @@
 trigonometric formulas and vs numeric differentiation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpn_holonomy import (ControlPoint, DiscretizationError, connection_along,
                           connection_analytic, connection_numeric)
@@ -299,3 +301,29 @@ def test_along_touched_levels():
     assert levels.tolist() == [1, 4]
     levels, block = connection_along(theta, phi, 0 * d_theta, 0 * d_phi)
     assert levels.size == 0 and block.shape == (5, 0, 0)
+
+
+# ---------- exact chart symmetry: a phi shift is a diagonal conjugation ----------
+
+def _dense_along(theta, phi, d_theta, d_phi):
+    n = theta.shape[-1]
+    levels, block = connection_along(theta, phi, d_theta, d_phi)
+    full = np.zeros(theta.shape[:-1] + (n, n), dtype=complex)
+    full[..., levels[:, None], levels] = block
+    return full
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_along_phi_shift_is_diagonal_conjugation(n, seed):
+    # U(theta, phi + c) = P_c U(theta, phi) P_c^dagger with P_c = diag(e^{i c}) on the
+    # code, so A(phi + c) = P_c A(phi) P_c^dagger exactly, at any point and direction
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(0.0, np.pi / 2, (4, n))
+    phi = rng.uniform(0.5, 2.5, (4, n))
+    d_theta, d_phi = rng.normal(size=(2, 4, n))
+    shift = rng.uniform(0.0, 3.0, n)  # one c per level; phi + c stays below 2 pi
+    p = np.exp(1j * shift)
+    base = _dense_along(theta, phi, d_theta, d_phi)
+    moved = _dense_along(theta, phi + shift, d_theta, d_phi)
+    assert np.max(np.abs(moved - p[:, None] * base * p.conj())) <= 1e-12

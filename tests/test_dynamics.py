@@ -1,6 +1,8 @@
 """Dynamical verifiers: adiabatic transport, kick scheme, timescale advisory."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cpn_holonomy import (ControlPoint, GateStep, HamiltonianFamily, KickPlan, LoopPath,
@@ -265,3 +267,22 @@ def test_timescales_marginal_at_threshold():
 def test_timescale_report_serializes():
     d = timescale_check(_plan(1e-3), 1e-3, 1e3).to_json_dict()
     assert set(d) >= {"ratios", "flags", "ok", "margin"}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_phi_shift_conjugates_both_propagators(n, seed):
+    # H(theta, phi + c) = P_c H P_c^dagger with P_c = diag(e^{i c}, 1) (the excited
+    # level n+1 carries no phi), so both oracles' propagators conjugate exactly
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, np.pi / 2, (4, n))
+    ph = rng.uniform(0.5, 2.5, (4, n))
+    th[-1], ph[-1] = th[0], ph[0]
+    shift = rng.uniform(0.0, 3.0, n)
+    p = np.append(np.exp(1j * shift), 1.0)
+    fam = HamiltonianFamily(n, epsilon0=1.3)
+    base, moved = LoopPath(n, th, ph), LoopPath(n, th, ph + shift)
+    u, v = (propagate_frames(fam, loop, 20.0, 200) for loop in (base, moved))
+    assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12
+    u, v = (kick_evolution(fam, KickPlan.from_loop(loop, 20.0, 200)) for loop in (base, moved))
+    assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12

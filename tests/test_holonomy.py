@@ -1,6 +1,8 @@
 """Holonomy engine: closed-form laws, loop algebra, convergence, shape invariance."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cpn_holonomy import (GateStep, LoopPath, PlaneTag, UnitarityError, UnitaryMatrix,
@@ -260,3 +262,54 @@ def test_unitary_matrix_certification():
         UnitaryMatrix.from_raw(good * 1.5)
     with pytest.raises(UnitarityError):
         UnitaryMatrix.from_raw(np.full((2, 2), np.nan))
+
+
+# ---------- exact chart symmetries: no discretization error enters ----------
+
+def _random_polyline(seed, n, num_verts):
+    """Closed polyline with theta anywhere in the chart and phi in [0.5, 2.5]."""
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.0, np.pi / 2, (num_verts, n))
+    ph = rng.uniform(0.5, 2.5, (num_verts, n))
+    return np.vstack([th, th[0]]), np.vstack([ph, ph[0]])
+
+
+LOOPS = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), num_verts=st.integers(2, 6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**LOOPS, segments=st.sampled_from([1, 3]))
+def test_phi_shift_conjugates_holonomy(n, seed, num_verts, segments):
+    # hol(loop + c) = P_c hol(loop) P_c^dagger, P_c = diag(e^{i c}): every segment
+    # generator is conjugated by the same P_c, whatever the segment count
+    th, ph = _random_polyline(seed, n, num_verts)
+    shift = np.random.default_rng(seed + 1).uniform(0.0, 3.0, n)  # one c per level, below 2 pi
+    p = np.exp(1j * shift)
+    base = holonomy(LoopPath(n, th, ph), segments).matrix
+    moved = holonomy(LoopPath(n, th, ph + shift), segments).matrix
+    assert np.max(np.abs(moved - p[:, None] * base * p.conj())) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(**LOOPS, segments=st.sampled_from([1, 3]))
+def test_phi_mirror_conjugates_holonomy(n, seed, num_verts, segments):
+    # phi -> 2 pi - phi conjugates the frame, so the holonomy is complex-conjugated
+    th, ph = _random_polyline(seed, n, num_verts)
+    base = holonomy(LoopPath(n, th, ph), segments).matrix
+    mirrored = holonomy(LoopPath(n, th, 2 * np.pi - ph), segments).matrix
+    assert np.max(np.abs(mirrored - base.conj())) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(**LOOPS, segments=st.sampled_from([1, 3]), start=st.integers(1, 5))
+def test_base_vertex_rotation_keeps_eigenphases(n, seed, num_verts, segments, start):
+    # starting the same closed polyline at another vertex turns the ordered
+    # product AB into BA, which has the same eigenvalues; power traces fix them
+    th, ph = _random_polyline(seed, n, num_verts)
+    k = start % num_verts
+    rot_th, rot_ph = (np.vstack([x[k:-1], x[:k + 1]]) for x in (th, ph))
+    u = holonomy(LoopPath(n, th, ph), segments).matrix
+    v = holonomy(LoopPath(n, rot_th, rot_ph), segments).matrix
+    for p in range(1, n + 1):
+        up, vp = np.linalg.matrix_power(u, p), np.linalg.matrix_power(v, p)
+        assert abs(np.trace(up) - np.trace(vp)) <= 1e-12 * n

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cpn_holonomy.linalg import expm_antihermitian, fold_left
+from cpn_holonomy.linalg import complex_pairs, expm_antihermitian, fold_left
 
 
 def random_unitaries(rng, m, d):
@@ -37,3 +37,28 @@ def test_fold_left_empty_raises_value_error():
     with pytest.raises(ValueError):
         fold_left(np.zeros((0, 3, 3), dtype=complex))
 
+
+
+
+def _per_entry(m):
+    """The per-entry [re, im] encoder that complex_pairs replaced."""
+    if m.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in m]
+    return [_per_entry(row) for row in m]
+
+
+def test_complex_pairs_match_per_entry_encoder():
+    # the [re, im] JSON form, bit for bit (signed zeros included), for
+    # matrices, stacks and state vectors
+    rng = np.random.default_rng(11)
+    for shape in [(1, 1), (3, 3), (4, 2), (5,), (2, 3, 3)]:
+        m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        m.real[rng.random(shape) < 0.3] = -0.0
+        m.imag[rng.random(shape) < 0.3] = -0.0
+        m.imag[rng.random(shape) < 0.2] = 0.0
+        got = complex_pairs(m)
+        assert got.dtype == np.float64 and got.shape == shape + (2,)
+        assert repr(got.tolist()) == repr(_per_entry(m))
+        assert repr(complex_pairs(m.T).tolist()) == repr(_per_entry(m.T))
+    real = rng.normal(size=(3, 3))
+    assert repr(complex_pairs(real).tolist()) == repr(_per_entry(real))
