@@ -121,15 +121,22 @@ def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Closed form of frame column n+1: v_j = e^{i phi_j} sin(theta_j)
     prod_{k<j} cos(theta_k) for j <= n and v_{n+1} = prod_k cos(theta_k),
-    O(n) per point instead of the n rotation matmuls of the full frame.
+    O(n) per point instead of the n rotation matmuls of the full frame. The
+    real and imaginary parts are written directly, cos(phi_j) sin(theta_j)
+    prod_{k<j} cos(theta_k) and the same with sin(phi_j): the values of the
+    complex product, without a complex exponential.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     cos_prefix = np.cumprod(np.cos(theta), axis=-1)
+    sin_theta = np.sin(theta)
     v = np.empty(theta.shape[:-1] + (theta.shape[-1] + 1,), dtype=complex)
-    v[..., 0] = np.exp(1j * phi[..., 0]) * np.sin(theta[..., 0])
-    v[..., 1:-1] = np.exp(1j * phi[..., 1:]) * np.sin(theta[..., 1:]) * cos_prefix[..., :-1]
-    v[..., -1] = cos_prefix[..., -1]
+    for part, trig in ((v.real, np.cos), (v.imag, np.sin)):
+        r = trig(phi) * sin_theta
+        r[..., 1:] *= cos_prefix[..., :-1]
+        part[..., :-1] = r
+    v.real[..., -1] = cos_prefix[..., -1]
+    v.imag[..., -1] = 0.0
     return v
 
 

@@ -206,10 +206,11 @@ def cmd_compile(args) -> str:
     n = max(args.beta_bar, 2) if args.n is None else args.n
     program = compile_u2_block(target, args.beta, args.beta_bar, n)
     embedded = embed_two_level(target, args.beta, args.beta_bar, n)
-    dist = program.evaluate().distance_up_to_phase(embedded)
+    evaluated = program.evaluate()
+    dist = evaluated.distance_up_to_phase(embedded)
     return dump_json({
         "program": program.to_json_dict(),
-        "matrix": linalg.complex_pairs(program.evaluate().matrix),
+        "matrix": linalg.complex_pairs(evaluated.matrix),
         "distance_up_to_phase": dist,
         "residual_phase": program.residual_phase,
         "within_tol": bool(dist < args.tol),
@@ -414,16 +415,22 @@ _ANGLE_OPTIONS = frozenset({"--sigma1", "--sigma3", "--time", "--theta", "--phi"
 _NEGATIVE_ANGLE_RE = re.compile(r"-(?:\.?\d|\s*pi)", re.IGNORECASE)
 
 
+def _is_angle_option(tok: str) -> bool:
+    """An angle option's name or a prefix of one, as argparse accepts ('--tim')."""
+    return len(tok) > 2 and any(opt.startswith(tok) for opt in _ANGLE_OPTIONS)
+
+
 def _join_negative_angles(argv: list[str]) -> list[str]:
     """Rewrite `--opt -<angle>` as `--opt=-<angle>` for the angle-valued options.
 
     argparse reads a token that starts with '-' as an option unless it is a
     plain negative number, so '-pi/4', '-1e-05' and '-0.5,0.3' would not
-    reach parse_angle as values.
+    reach parse_angle as values. Abbreviated names are joined too; argparse
+    then resolves `--ph=-0.5` as it would `--ph -0.5`, or rejects it.
     """
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _ANGLE_OPTIONS and _NEGATIVE_ANGLE_RE.match(tok):
+        if out and _is_angle_option(out[-1]) and _NEGATIVE_ANGLE_RE.match(tok):
             out[-1] += "=" + tok
         else:
             out.append(tok)

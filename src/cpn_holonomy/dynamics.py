@@ -15,6 +15,14 @@ F exp(-i H0 dt) F†. The code subspace sits at eigenvalue 0 at every chart
 point, so no dynamical phase accrues on the code and the extracted transport
 matrix can be compared to a loop holonomy directly.
 
+The stepper (linalg.rank1_product) applies the steps in place,
+x <- x + (e^{-i epsilon0 dt} - 1) v (v† x), to chunks of linalg.CHUNK
+consecutive steps at once: O(d^2) per step, and no d x d factor is formed.
+The chunk products are then multiplied in time order. Step and interval
+counts above MAX_STEPS are input errors, raised before any sampling; this
+includes the count that adiabatic_transport raises to keep
+epsilon0 * dt <= MAX_EPS_DT.
+
 Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
 For loops based at the chart origin the base frame is the identity and the
@@ -35,6 +43,7 @@ from .holonomy import UnitaryMatrix, holonomy
 from .loops import LoopPath, _split_coord
 
 MAX_EPS_DT = 0.05  # stepper resolution rule: epsilon0 * dt <= this
+MAX_STEPS = 2 ** 22  # most steps or kick intervals one propagation may take
 
 
 def smoothstep(x):
@@ -43,11 +52,13 @@ def smoothstep(x):
     return 3.0 * x**2 - 2.0 * x**3
 
 
-def _check_time_and_count(total_time: float, count: int, name: str):
+def _check_time_and_count(total_time: float, count: float, name: str):
     if not (np.isfinite(total_time) and total_time > 0):
         raise ValueError(f"total time must be finite and positive, got {total_time!r}")
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count!r}")
+    if count > MAX_STEPS:
+        raise ValueError(f"{name} must be <= {MAX_STEPS}, got {count!r}")
 
 
 @dataclass(frozen=True)
@@ -84,12 +95,10 @@ def _arclength_interpolator(loop: LoopPath):
     knots = np.concatenate([[0.0], np.cumsum(seg[keep])])
     knots /= knots[-1]
 
-    def lam(s):
-        s = np.clip(np.atleast_1d(s), 0.0, 1.0)
-        k = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, len(knots) - 2)
-        f = (s - knots[k]) / (knots[k + 1] - knots[k])
-        return (thk[k] + f[:, None] * (thk[k + 1] - thk[k]),
-                phk[k] + f[:, None] * (phk[k + 1] - phk[k]))
+    def lam(s):  # np.interp holds the end values outside [0, 1]
+        s = np.atleast_1d(s)
+        return (np.stack([np.interp(s, knots, col) for col in thk.T], axis=-1),
+                np.stack([np.interp(s, knots, col) for col in phk.T], axis=-1))
 
     return lam
 
@@ -97,10 +106,8 @@ def _arclength_interpolator(loop: LoopPath):
 def _rank1_product(f: HamiltonianFamily, thetas: np.ndarray, phis: np.ndarray,
                    dt: float) -> np.ndarray:
     """Ordered product of exp(-i H(lambda_k) dt) over the sample points, later left."""
-    v = excited_state_batch(thetas, phis)
-    factors = (np.exp(-1j * f.epsilon0 * dt) - 1.0) * v[:, :, None] * v.conj()[:, None, :]
-    factors += np.eye(f.dim)
-    return linalg.fold_left(factors)
+    return linalg.rank1_product(np.exp(-1j * f.epsilon0 * dt) - 1.0,
+                                excited_state_batch(thetas, phis))
 
 
 def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
@@ -148,12 +155,15 @@ def adiabatic_transport(f: HamiltonianFamily, sched: Schedule,
     alpha-th code vector; leakage per column is the weight lost to the
     excited level. Exceeding leakage_bound flags a non-adiabatic run in the
     diagnostics (reported, not fatal). The step count is raised if needed so
-    epsilon0 * dt <= 0.05.
+    epsilon0 * dt <= 0.05; a count above MAX_STEPS is a ValueError.
     """
     loop = sched.loop
     if f.n != loop.n:
         raise ValueError("family and loop dimensions disagree")
-    steps = max(sched.steps, int(np.ceil(f.epsilon0 * sched.total_time / MAX_EPS_DT)))
+    # a float count, so that a huge T fails the check below instead of int()
+    steps = max(sched.steps, float(np.ceil(f.epsilon0 * sched.total_time / MAX_EPS_DT)))
+    _check_time_and_count(sched.total_time, steps, "steps")
+    steps = int(steps)
     u_full = propagate_frames(f, loop, sched.total_time, steps, sched.ramp)
     code = frame_unitary(loop.base_point)[:, : f.n]
     m = code.conj().T @ u_full @ code

@@ -19,6 +19,11 @@ zero, so the holonomy is exactly the identity there; only the touched block
 is exponentiated and multiplied, then embedded in the n x n identity. A loop
 that moves every coordinate touches all n levels.
 
+Edges on which every generator is exactly zero are dropped before any
+connection is evaluated (see _silent_edges): the connector legs of a gate
+program's loop, which set up and tear down its frozen coordinates, transport
+nothing, and they are most of its edges.
+
 Midpoint evaluation with one exact exponential per segment is second-order
 accurate in the segment length; every factor is unitary by construction, so
 the only unitarity defect is accumulated roundoff (reported, and removed by
@@ -103,28 +108,66 @@ class UnitaryMatrix:
         }
 
 
-def _segment_generators(loop: LoopPath, segments_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
-    """Touched levels and transport generators -A(mid) . dlam of all sub-segments, in order."""
+def _silent_edges(th: np.ndarray, ph: np.ndarray, segments_per_edge: int) -> np.ndarray:
+    """Edges of the polyline (th, ph) whose segment generators are all exactly zero.
+
+    Level b adds k11 (u_b u_b^T - conj(w_b) w_b^T) + k12 u_b w_b^T - conj(k12)
+    conj(w_b) u_b^T (connection.connection_along), k11 = -i sin^2(theta_b)
+    d_phi_b and k12 = e^{i phi_b} (d_theta_b + i cos(theta_b) sin(theta_b) d_phi_b).
+    theta_b is exactly zero on every midpoint of an edge whose ends both have
+    theta_b == 0, and w_b is then zero if that holds for every level below b.
+    So level b adds exact zeros when d_phi_b == 0 or theta_b == 0 on the
+    edge, and d_theta_b == 0 or w_b == 0 on it. A level that does not move
+    has d_theta_b == d_phi_b == 0.
+    """
+    s = segments_per_edge
+    d_th, d_ph = (th[1:] - th[:-1]) / s, (ph[1:] - ph[:-1]) / s
+    flat = (th[:-1] == 0) & (th[1:] == 0)
+    below = np.ones_like(flat)
+    below[:, 1:] = np.logical_and.accumulate(flat[:, :-1], axis=1)
+    return np.all(((d_ph == 0) | flat) & ((d_th == 0) | below), axis=1)
+
+
+def _segment_generators(loop: LoopPath, segments_per_edge: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Live edges, touched levels and transport generators -A(mid) . dlam.
+
+    live flags the edges that are not silent; the generators, one per
+    sub-segment of a live edge, are in traversal order. A silent edge's
+    generators are exactly zero and are not evaluated.
+    """
     n = loop.n
     th, ph = loop.thetas, loop.phis
-    m = th.shape[0] - 1
+    live = ~_silent_edges(th, ph, segments_per_edge)
+    start = np.flatnonzero(live)
+    th0, th1, ph0, ph1 = th[start], th[start + 1], ph[start], ph[start + 1]
+    m = start.size
     s = segments_per_edge
     frac = (np.arange(s) + 0.5) / s
     # midpoints and deltas, edges x segments flattened in traversal order
-    mid_th = (th[:-1, None, :] + (th[1:] - th[:-1])[:, None, :] * frac[None, :, None]).reshape(m * s, n)
-    mid_ph = (ph[:-1, None, :] + (ph[1:] - ph[:-1])[:, None, :] * frac[None, :, None]).reshape(m * s, n)
-    d_th = np.repeat((th[1:] - th[:-1]) / s, s, axis=0)
-    d_ph = np.repeat((ph[1:] - ph[:-1]) / s, s, axis=0)
+    mid_th = (th0[:, None, :] + (th1 - th0)[:, None, :] * frac[None, :, None]).reshape(m * s, n)
+    mid_ph = (ph0[:, None, :] + (ph1 - ph0)[:, None, :] * frac[None, :, None]).reshape(m * s, n)
+    d_th = np.repeat((th1 - th0) / s, s, axis=0)
+    d_ph = np.repeat((ph1 - ph0) / s, s, axis=0)
     levels, block = connection_along(mid_th, mid_ph, d_th, d_ph)
-    return levels, -block
+    return live, levels, -block
 
 
 def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
-    """Loop holonomy on the n-dimensional code, by ordered segment exponentials."""
+    """Loop holonomy on the n-dimensional code, by ordered segment exponentials.
+
+    The identity factors of silent edges stay in the product, so the
+    pairwise reduction pairs the same factors as if they had been evaluated.
+    """
     if segments_per_edge < 1:
         raise ValueError("segments_per_edge must be >= 1")
     u = np.eye(loop.n, dtype=complex)
     if not loop.is_degenerate():
-        levels, gens = _segment_generators(loop, segments_per_edge)
-        u[levels[:, None], levels] = linalg.fold_left(linalg.expm_antihermitian(gens))
+        live, levels, gens = _segment_generators(loop, segments_per_edge)
+        if levels.size:  # else every edge is silent
+            k, s = levels.size, segments_per_edge
+            factors = np.empty((live.size, s, k, k), dtype=complex)
+            factors[~live] = np.eye(k)
+            factors[live] = linalg.expm_antihermitian(gens).reshape(-1, s, k, k)
+            u[levels[:, None], levels] = linalg.fold_left(factors.reshape(-1, k, k))
     return UnitaryMatrix.from_raw(u)

@@ -3,12 +3,15 @@
 Exponentials of the loop integrator's anti-hermitian generators go through
 an exact eigendecomposition (unitary up to eigensolver roundoff, which the
 holonomy code relies on); the propagators need none, their rank-1 steps are
-exact in closed form (see dynamics). Ordered products reduce pairwise.
-Batched inputs use a leading batch axis everywhere.
+exact in closed form (see dynamics) and accumulate in place, chunk by chunk.
+Ordered products reduce pairwise. Batched inputs use a leading batch axis
+everywhere, except inside rank1_product.
 """
 from __future__ import annotations
 
 import numpy as np
+
+CHUNK = 32  # rank-1 steps accumulated in place per chunk; outputs depend on it at roundoff
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -51,6 +54,32 @@ def fold_left(factors: np.ndarray) -> np.ndarray:
             pairs[-1] = out[-1] @ pairs[-1]
         out = pairs
     return out[0]
+
+
+def rank1_product(a: complex, v: np.ndarray) -> np.ndarray:
+    """Ordered product of the steps I + a |v_j><v_j| over the rows of v, later left.
+
+    v has shape (M, d). The M steps are cut into K consecutive chunks of
+    CHUNK, the last one padded with zero rows, which are exact identity
+    steps. All K chunk products accumulate at once in a batch-last (d, d, K)
+    array, x <- x + a v_j (v_j† x) for j = 0..CHUNK-1: O(d^2) per step
+    instead of a d x d factor and a d^3 product. fold_left then multiplies
+    the K chunk products in time order.
+    """
+    m, d = v.shape
+    k, tail = divmod(m, CHUNK)
+    w = np.zeros((CHUNK, d, k + (tail > 0)), dtype=complex)  # w[j, :, c] = v[c * CHUNK + j]
+    w[:, :, :k] = v[: k * CHUNK].reshape(k, CHUNK, d).transpose(1, 2, 0)
+    w[:tail, :, k:] = v[k * CHUNK:, :, None]
+    x = np.zeros((d,) + w.shape[1:], dtype=complex)
+    x[np.arange(d), np.arange(d)] = 1.0
+    s = np.empty(w.shape[1:], dtype=complex)
+    t = np.empty_like(x)
+    for wj in w:
+        np.einsum("ik,ick->ck", wj.conj(), x, out=s)  # v_j† x in every chunk
+        np.multiply((a * wj)[:, None, :], s, out=t)
+        x += t
+    return fold_left(x.transpose(2, 0, 1))
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:

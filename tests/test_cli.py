@@ -57,16 +57,22 @@ def test_parse_angle_rejects_garbage():
     (["connection"], "--theta", "-0.5,0.3"),  # out of the chart: exit 2 both ways
     (["verify", "--name", "crot"], "--time", "-pi"),  # Schedule rejects it: exit 2
     (["kick", "--name", "xor", "--n-list", "10", "--ref-steps", "16"], "--time", "-1e-05"),
+    # abbreviated option names, which argparse accepts for the full ones
+    (["connection", "--theta", "0.1,0.2"], "--ph", "-0.5,0.3"),
+    (["verify", "--name", "crot"], "--tim", "-pi"),
 ])
 def test_negative_angle_as_own_token(argv, option, value, capsys):
     # argparse alone reads '-pi/4' or '-1e-05' after an option as another option
+    full = {"--ph": "--phi", "--tim": "--time"}.get(option, option)
     split = main(argv + [option, value]), capsys.readouterr()
-    joined = main(argv + [f"{option}={value}"]), capsys.readouterr()
+    joined = main(argv + [f"{full}={value}"]), capsys.readouterr()
     assert split == joined
     code, captured = split
     if argv[0] in ("verify", "kick") or option == "--theta":
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        if argv[0] == "verify":
+            assert "total time must be finite and positive" in captured.err
     else:
         assert code == 0 and json.loads(captured.out)
 
@@ -126,6 +132,13 @@ def test_holonomy_loop_file(tmp_path, capsys):
     ["sweep", "--n", "1"],
     ["sweep", "--n", "1", "--family", "C2"],
     ["sweep", "--n", "0", "--family", "C1"],
+    # step counts above dynamics.MAX_STEPS fail before anything is sampled
+    ["kick", "--name", "crot", "--n-list", "10", "--time", "1",
+     "--ref-steps", "100000000000000"],
+    ["kick", "--name", "crot", "--n-list", "100000000000000", "--time", "1",
+     "--ref-steps", "16"],
+    ["verify", "--name", "crot", "--time", "1", "--steps", "100000000000000"],
+    ["verify", "--name", "crot", "--time", "1e300"],  # eps0 T / 0.05 steps needed
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = json.loads(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
@@ -168,6 +181,21 @@ def test_compile_subcommand(tmp_path, capsys):
     d = json.loads(out)
     assert d["distance_up_to_phase"] < 1e-8
     assert d["within_tol"]
+
+
+def test_compile_evaluates_the_program_once(tmp_path, capsys, monkeypatch):
+    # the distance and the printed matrix come from one closed-form product
+    from cpn_holonomy.gates import GateProgram
+    calls = []
+    evaluate = GateProgram.evaluate
+    monkeypatch.setattr(GateProgram, "evaluate",
+                        lambda self, *a, **k: calls.append(1) or evaluate(self, *a, **k))
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps({"matrix": SIGMA_X}))
+    code, out = run_cli(["compile", "--target", str(path), "--beta", "1",
+                         "--beta-bar", "2", "--n", "2"], capsys)
+    assert code == 0 and json.loads(out)["within_tol"]
+    assert len(calls) == 1
 
 
 # ---------- verify / kick ----------

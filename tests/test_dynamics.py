@@ -10,7 +10,7 @@ from cpn_holonomy import (ControlPoint, GateStep, HamiltonianFamily, KickPlan, L
                           kick_code_block, kick_evolution, primitive_holonomy,
                           program_schedule, propagate_frames, realize_step_as_loop,
                           timescale_check, two_qubit_gate)
-from cpn_holonomy.dynamics import _arclength_interpolator, smoothstep
+from cpn_holonomy.dynamics import MAX_STEPS, _arclength_interpolator, smoothstep
 from cpn_holonomy.linalg import max_abs_diff, unitarity_defect
 
 C1_QUARTER = GateStep("C1", 1, None, np.pi / 4)
@@ -147,21 +147,23 @@ def _dense_product(fam, thetas, phis, dt):
 
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_rank1_stepper_matches_dense_expm(n):
+    # step counts inside one chunk of the stepper, at its edge and past it
     rng = np.random.default_rng(40 + n)
     fam = HamiltonianFamily(n, epsilon0=1.3)
     loop = _random_loop(rng, n)
-    total, steps = 30.0, 300
-    th, ph = _arclength_interpolator(loop)(smoothstep((np.arange(steps) + 0.5) / steps))
-    expect = _dense_product(fam, th, ph, total / steps)
-    assert max_abs_diff(propagate_frames(fam, loop, total, steps), expect) <= 1e-12
+    total = 30.0
+    for steps in (1, 31, 32, 33, 300):
+        th, ph = _arclength_interpolator(loop)(smoothstep((np.arange(steps) + 0.5) / steps))
+        expect = _dense_product(fam, th, ph, total / steps)
+        assert max_abs_diff(propagate_frames(fam, loop, total, steps), expect) <= 1e-12
 
-    plan = KickPlan.from_loop(loop, total, steps)
-    expect = _dense_product(fam, plan.thetas[:-1], plan.phis[:-1], plan.delta_t)
-    assert max_abs_diff(kick_evolution(fam, plan), expect) <= 1e-12
+        plan = KickPlan.from_loop(loop, total, steps)
+        expect = _dense_product(fam, plan.thetas[:-1], plan.phis[:-1], plan.delta_t)
+        assert max_abs_diff(kick_evolution(fam, plan), expect) <= 1e-12
 
 
 @pytest.mark.parametrize("total,steps", [(0.0, 10), (-1.0, 10), (np.inf, 10),
-                                         (np.nan, 10), (10.0, 0)])
+                                         (np.nan, 10), (10.0, 0), (10.0, MAX_STEPS + 1)])
 def test_propagate_frames_validation(total, steps):
     with pytest.raises(ValueError):
         propagate_frames(HamiltonianFamily(1), c1_loop(), total, steps)
@@ -184,6 +186,12 @@ def test_schedule_validation():
             Schedule(loop, bad)
     with pytest.raises(ValueError):
         Schedule(loop, 10.0, ramp=lambda x: x + 1.0)
+    with pytest.raises(ValueError, match="steps must be <="):
+        Schedule(loop, 10.0, steps=10 ** 14)
+    # the count that eps0 * dt <= MAX_EPS_DT asks for is checked before sampling
+    for total, eps0 in ((1e300, 1.0), (1e300, 1e300)):
+        with pytest.raises(ValueError, match="steps must be <="):
+            adiabatic_transport(HamiltonianFamily(1, eps0), Schedule(loop, total, steps=10))
 
 
 # ---------- kick scheme ----------
@@ -236,6 +244,8 @@ def test_kick_plan_validation():
             KickPlan.from_loop(c1_loop(), bad, 10)
     with pytest.raises(ValueError, match="num_intervals"):
         KickPlan.from_loop(c1_loop(), 10.0, 0)
+    with pytest.raises(ValueError, match="num_intervals must be <="):
+        KickPlan.from_loop(c1_loop(), 10.0, MAX_STEPS + 1)
 
 
 # ---------- timescale advisory ----------

@@ -8,7 +8,10 @@ from scipy.linalg import expm
 from cpn_holonomy import (GateStep, LoopPath, PlaneTag, UnitarityError, UnitaryMatrix,
                           circle_loop, concatenate, enclosed_area, holonomy,
                           l_shape_loop, loop_from_plane_vertices, primitive_holonomy,
-                          realize_step_as_loop, rectangle_loop, reverse)
+                          program_schedule, realize_step_as_loop, rectangle_loop, reverse,
+                          two_qubit_gate)
+from cpn_holonomy.connection import connection_along
+from cpn_holonomy.holonomy import _silent_edges
 from test_connection import oracle_along  # per-entry closed forms of the connection
 
 C1_PLANE = PlaneTag(("theta:1", "phi:1"))
@@ -236,6 +239,60 @@ def test_all_coordinate_loop_matches_dense_reference():
     loop = random_wiggle_loop(rng, 16, num_verts=8, amp=0.2)
     got = holonomy(loop, 8).matrix
     assert np.max(np.abs(got - _dense_reference(loop, 8))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["CROT", "XOR", "SWAP", "PHASE1", "PHASE2"])
+def test_gate_program_loop_matches_dense_reference(name):
+    """Most edges of a program loop are silent connector legs; the dense
+    reference exponentiates every segment, the engine skips those edges."""
+    loop = program_schedule(two_qubit_gate(name))
+    assert np.any(_silent_edges(loop.thetas, loop.phis, 4))
+    got = holonomy(loop, 4).matrix
+    assert np.max(np.abs(got - _dense_reference(loop, 4))) <= 1e-12
+
+
+def _edge_generators(th, ph, segments):
+    """connection_along at every segment of every edge, as full (edges, segments, n, n)."""
+    m, n = th.shape[0] - 1, th.shape[1]
+    frac = ((np.arange(segments) + 0.5) / segments)[None, :, None]
+    mid_th = th[:-1, None] + (th[1:] - th[:-1])[:, None] * frac
+    mid_ph = ph[:-1, None] + (ph[1:] - ph[:-1])[:, None] * frac
+    d_th = np.broadcast_to(((th[1:] - th[:-1]) / segments)[:, None], mid_th.shape)
+    d_ph = np.broadcast_to(((ph[1:] - ph[:-1]) / segments)[:, None], mid_ph.shape)
+    levels, block = connection_along(mid_th, mid_ph, d_th, d_ph)
+    full = np.zeros((m, segments, n, n), dtype=complex)
+    full[..., levels[:, None], levels] = block
+    return full
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4))
+def test_silent_edges_have_zero_generators(n, seed, num_verts, segments):
+    """Every edge flagged silent has exactly zero generators, on polylines whose
+    vertices put many coordinates exactly at theta = 0 or hold them fixed."""
+    rng = np.random.default_rng(seed)
+    th = np.where(rng.random((num_verts, n)) < 0.5, 0.0,
+                  rng.choice([0.3, np.pi / 2, 1.1], (num_verts, n)))
+    ph = np.where(rng.random((num_verts, n)) < 0.5, 0.4, rng.uniform(0, 2 * np.pi, (num_verts, n)))
+    th, ph = np.vstack([th, th[0]]), np.vstack([ph, ph[0]])
+    silent = _silent_edges(th, ph, segments)
+    gens = _edge_generators(th, ph, segments)
+    assert not np.any(gens[silent])
+
+
+def test_silent_edges_of_program_loops_are_exactly_the_zero_edges():
+    for name in ("CROT", "XOR", "SWAP", "PHASE1", "PHASE2"):
+        loop = program_schedule(two_qubit_gate(name))
+        zero = ~np.any(_edge_generators(loop.thetas, loop.phis, 2), axis=(1, 2, 3))
+        assert np.array_equal(_silent_edges(loop.thetas, loop.phis, 2), zero), name
+
+
+def test_loop_of_silent_edges_is_identity():
+    # theta_1 out and back at phi = 0, then phi_1 turned at theta_1 = 0
+    loop = LoopPath(2, np.array([[0, 0], [0.4, 0], [0, 0], [0, 0], [0, 0.0]]),
+                    np.array([[0, 0], [0, 0], [0, 0], [0.5, 0], [0, 0.0]]))
+    assert np.all(_silent_edges(loop.thetas, loop.phis, 8))
+    assert np.array_equal(holonomy(loop, 8).matrix, np.eye(2))
 
 
 def test_open_loop_rejected():

@@ -1,8 +1,9 @@
-"""Shared linear-algebra helpers: the pairwise ordered product."""
+"""Shared linear-algebra helpers: the pairwise ordered product, the rank-1 stepper."""
 import numpy as np
 import pytest
 
-from cpn_holonomy.linalg import complex_pairs, expm_antihermitian, fold_left
+from cpn_holonomy.linalg import CHUNK, complex_pairs, expm_antihermitian, fold_left, \
+    rank1_product
 
 
 def random_unitaries(rng, m, d):
@@ -38,6 +39,23 @@ def test_fold_left_empty_raises_value_error():
         fold_left(np.zeros((0, 3, 3), dtype=complex))
 
 
+@pytest.mark.parametrize("d", [2, 5, 17])
+def test_rank1_product_matches_fold_left_of_factors(d):
+    # step counts below, at and past one chunk, and several chunks with a tail
+    rng = np.random.default_rng(70 + d)
+    a = np.exp(-0.37j) - 1.0
+    for m in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1):
+        v = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v[rng.random(m) < 0.25] = 0.0  # zero rows are identity steps
+        before = v.copy()
+        factors = np.eye(d) + a * v[:, :, None] * v.conj()[:, None, :]
+        got = rank1_product(a, v)
+        assert got.shape == (d, d)
+        assert np.max(np.abs(got - fold_left(factors))) <= 1e-13
+        assert np.array_equal(v, before)
+    with pytest.raises(ValueError):
+        rank1_product(a, np.zeros((0, d), dtype=complex))
 
 
 def _per_entry(m):
