@@ -6,12 +6,12 @@ programs (including the explicit two-qubit constructions on n = 4), and two
 independent dynamical verifiers (adiabatic Schrodinger transport and the
 repeated-pulse kick scheme).
 """
-from .chart import ControlPoint, HamiltonianFamily, eigenstate, frame_unitary, hamiltonian_at
+from .chart import ControlPoint, HamiltonianFamily, frame_unitary
 from .connection import (ConnectionValue, DiscretizationError, connection_along,
                          connection_analytic, connection_numeric)
 from .dynamics import (KickPlan, Schedule, TimescaleReport, adiabatic_transport,
-                       kick_code_block, kick_evolution, program_schedule,
-                       propagate_frames, smoothstep, timescale_check)
+                       kick_evolution, program_schedule, propagate_frames, smoothstep,
+                       timescale_check)
 from .gates import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                     compile_unitary, named_gate_matrix, primitive_holonomy,
                     realize_step_as_loop, single_qubit_block, two_qubit_gate)
@@ -22,7 +22,7 @@ from .multipartite import (CostReport, EmbeddedGate, Register, apply_circuit,
                            embed_local_gate, gate_count)
 
 __all__ = [
-    "ControlPoint", "HamiltonianFamily", "frame_unitary", "eigenstate", "hamiltonian_at",
+    "ControlPoint", "HamiltonianFamily", "frame_unitary",
     "ConnectionValue", "connection_along", "connection_analytic", "connection_numeric",
     "DiscretizationError",
     "LoopPath", "PlaneTag", "concatenate", "reverse", "enclosed_area",
@@ -31,7 +31,7 @@ __all__ = [
     "GateStep", "GateProgram", "AreaRangeError", "primitive_holonomy",
     "realize_step_as_loop", "compile_u2_block", "compile_unitary",
     "two_qubit_gate", "named_gate_matrix", "single_qubit_block",
-    "Schedule", "KickPlan", "adiabatic_transport", "kick_evolution", "kick_code_block",
+    "Schedule", "KickPlan", "adiabatic_transport", "kick_evolution",
     "timescale_check", "TimescaleReport", "propagate_frames", "program_schedule",
     "smoothstep",
     "Register", "EmbeddedGate", "embed_local_gate", "apply_circuit", "gate_count",

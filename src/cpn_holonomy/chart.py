@@ -124,7 +124,8 @@ def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     O(n) per point instead of the n rotation matmuls of the full frame. The
     real and imaginary parts are written directly, cos(phi_j) sin(theta_j)
     prod_{k<j} cos(theta_k) and the same with sin(phi_j): the values of the
-    complex product, without a complex exponential.
+    complex product, without a complex exponential. With n = 0 (no columns)
+    v is the one-level state 1.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -135,7 +136,7 @@ def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
         r = trig(phi) * sin_theta
         r[..., 1:] *= cos_prefix[..., :-1]
         part[..., :-1] = r
-    v.real[..., -1] = cos_prefix[..., -1]
+    v.real[..., -1] = cos_prefix[..., -1] if theta.shape[-1] else 1.0
     v.imag[..., -1] = 0.0
     return v
 
@@ -143,43 +144,3 @@ def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 def frame_unitary(p: ControlPoint) -> np.ndarray:
     """The (n+1)x(n+1) frame at p; column alpha is the rotated eigenstate |alpha(p)>."""
     return frame_unitary_batch(p.theta, p.phi)
-
-
-def eigenstate(p: ControlPoint, alpha: int) -> np.ndarray:
-    """Closed-form rotated eigenstate, 1 <= alpha <= n+1.
-
-    Independent of frame_unitary (explicit trigonometric products rather than
-    a rotation product); the two must agree columnwise, which the test suite
-    enforces.
-    """
-    n = p.n
-    if not 1 <= alpha <= n + 1:
-        raise IndexError(f"alpha must be in 1..{n + 1}, got {alpha}")
-    th = np.concatenate([p.theta, [THETA_MAX]])  # implicit level n+1
-    ph = np.concatenate([p.phi, [0.0]])
-    v = np.zeros(n + 1, dtype=complex)
-    if alpha == n + 1:
-        for j in range(1, n + 2):
-            v[j - 1] = np.exp(1j * ph[j - 1]) * np.sin(th[j - 1]) * np.prod(np.cos(th[: j - 1]))
-        return v
-    a = alpha - 1
-    v[a] = np.cos(th[a])
-    pref = -np.exp(-1j * ph[a]) * np.sin(th[a])
-    for j in range(alpha + 1, n + 2):
-        amp = np.sin(th[j - 1]) * np.prod(np.cos(th[alpha: j - 1]))
-        v[j - 1] = pref * np.exp(1j * ph[j - 1]) * amp
-    return v
-
-
-def hamiltonian_at(f: HamiltonianFamily, p: ControlPoint) -> np.ndarray:
-    """H(p) = epsilon0 |v><v| with v the rotated level-(n+1) eigenstate.
-
-    Spectrum is {0 x n, epsilon0} at every chart point. Note the restricted
-    two-level form of H on a (theta_b, phi_b) plane is traceless only after
-    subtracting (epsilon0/2) I; see the model tests for the explicit
-    reconciliation (including the azimuth reflection phi -> pi - phi).
-    """
-    if f.n != p.n:
-        raise ValueError(f"dimension mismatch: family n={f.n}, point n={p.n}")
-    v = eigenstate(p, p.n + 1)
-    return f.epsilon0 * np.outer(v, v.conj())

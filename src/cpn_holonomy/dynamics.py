@@ -15,6 +15,15 @@ F exp(-i H0 dt) F†. The code subspace sits at eigenvalue 0 at every chart
 point, so no dynamical phase accrues on the code and the extracted transport
 matrix can be compared to a loop holonomy directly.
 
+The steps act only on the live levels: those whose theta is nonzero at
+some vertex of the loop (some sample of a kick plan), plus level n+1. A
+level whose theta stays 0 has v_j = 0 and cos(theta_j) = 1 at every sample,
+so every step leaves it exactly as the identity; only the live theta/phi
+columns are sampled, and the product is formed at dimension |live| + 1 and
+embedded in the (n+1) x (n+1) identity. Outputs match stepping all levels up
+to roundoff, from sums over fewer terms. A loop with no live level (phis
+moving at theta = 0) gives diag(1, ..., 1, e^{-i epsilon0 T}) as stepped.
+
 The stepper (linalg.rank1_product) applies the steps in place,
 x <- x + (e^{-i epsilon0 dt} - 1) v (v† x), to chunks of linalg.CHUNK
 consecutive steps at once: O(d^2) per step, and no d x d factor is formed.
@@ -37,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .chart import HamiltonianFamily, excited_state_batch, frame_unitary, frame_unitary_batch
+from .chart import HamiltonianFamily, excited_state_batch, frame_unitary
 from .gates import GateProgram, realize_step_as_loop, split_step
 from .holonomy import UnitaryMatrix, holonomy
 from .loops import LoopPath, _split_coord
@@ -77,12 +86,17 @@ class Schedule:
             raise ValueError("ramp must satisfy s(0)=0 and s(T)=1")
 
 
-def _arclength_interpolator(loop: LoopPath):
-    """Piecewise-linear lambda(s), s in [0,1] proportional to chart arclength."""
+def _arclength_interpolator(loop: LoopPath, cols=slice(None)):
+    """Piecewise-linear lambda(s), s in [0,1] proportional to chart arclength.
+
+    Only the theta/phi columns picked by cols are interpolated; the arclength
+    counts every coordinate.
+    """
     th, ph = loop.thetas, loop.phis
     seg = np.sqrt(np.sum(np.diff(th, axis=0) ** 2, axis=1)
                   + np.sum(np.diff(ph, axis=0) ** 2, axis=1))
     keep = seg > 0
+    th, ph = th[:, cols], ph[:, cols]
     if not np.any(keep):  # degenerate loop
         def constant(s):
             s = np.atleast_1d(s)
@@ -95,19 +109,43 @@ def _arclength_interpolator(loop: LoopPath):
     knots = np.concatenate([[0.0], np.cumsum(seg[keep])])
     knots /= knots[-1]
 
-    def lam(s):  # np.interp holds the end values outside [0, 1]
+    def interp(s, values):  # np.interp holds the end values outside [0, 1]
+        out = np.empty(s.shape + values.shape[1:])
+        for j, col in enumerate(values.T):
+            out[..., j] = np.interp(s, knots, col)
+        return out
+
+    def lam(s):
         s = np.atleast_1d(s)
-        return (np.stack([np.interp(s, knots, col) for col in thk.T], axis=-1),
-                np.stack([np.interp(s, knots, col) for col in phk.T], axis=-1))
+        return interp(s, thk), interp(s, phk)
 
     return lam
 
 
-def _rank1_product(f: HamiltonianFamily, thetas: np.ndarray, phis: np.ndarray,
-                   dt: float) -> np.ndarray:
-    """Ordered product of exp(-i H(lambda_k) dt) over the sample points, later left."""
-    return linalg.rank1_product(np.exp(-1j * f.epsilon0 * dt) - 1.0,
-                                excited_state_batch(thetas, phis))
+def _live_levels(thetas: np.ndarray) -> np.ndarray:
+    """Levels (0-based, below n+1) whose theta is nonzero in some row of thetas.
+
+    A level whose theta stays 0 has v_j = 0 and cos(theta_j) = 1 at every
+    sample, so every rank-1 step acts on it as the exact identity.
+    """
+    return np.flatnonzero(np.any(thetas != 0.0, axis=0))
+
+
+def _rank1_product(f: HamiltonianFamily, live: np.ndarray, thetas: np.ndarray,
+                   phis: np.ndarray, dt: float) -> np.ndarray:
+    """Ordered product of exp(-i H(lambda_k) dt) over the sample points, later left.
+
+    thetas/phis hold the sampled angles of the live levels only. The steps
+    act on the live levels and level n+1, at dimension len(live) + 1; the
+    block is embedded in the (n+1) x (n+1) identity. With no live level it
+    is the 1 x 1 product (1 + a)^M on level n+1.
+    """
+    block = linalg.rank1_product(np.exp(-1j * f.epsilon0 * dt) - 1.0,
+                                 excited_state_batch(thetas, phis))
+    levels = np.append(live, f.n)
+    u = np.eye(f.dim, dtype=complex)
+    u[np.ix_(levels, levels)] = block
+    return u
 
 
 def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
@@ -118,9 +156,10 @@ def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     factors left; each factor is an exact rank-1 step.
     """
     _check_time_and_count(total_time, steps, "steps")
-    lam = _arclength_interpolator(loop)
+    live = _live_levels(loop.thetas)  # linear interpolation keeps a zero column zero
+    lam = _arclength_interpolator(loop, live)
     th, ph = lam(ramp((np.arange(steps) + 0.5) / steps))
-    return _rank1_product(f, th, ph, total_time / steps)
+    return _rank1_product(f, live, th, ph, total_time / steps)
 
 
 @dataclass
@@ -237,14 +276,8 @@ def kick_evolution(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
     """
     if f.n != plan.n:
         raise ValueError("family and plan dimensions disagree")
-    return _rank1_product(f, plan.thetas[:-1], plan.phis[:-1], plan.delta_t)
-
-
-def kick_code_block(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
-    """Code-subspace block of the kick propagator, in the base-point frame."""
-    code = frame_unitary_batch(plan.thetas[0], plan.phis[0])[:, : f.n]
-    u = kick_evolution(f, plan)
-    return code.conj().T @ u @ code
+    live = _live_levels(plan.thetas[:-1])
+    return _rank1_product(f, live, plan.thetas[:-1, live], plan.phis[:-1, live], plan.delta_t)
 
 
 @dataclass

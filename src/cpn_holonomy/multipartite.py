@@ -56,6 +56,14 @@ class Register:
         return float(np.sum(np.abs(np.take(t, ANCILLA_MINUS, axis=self.n_qubits)) ** 2))
 
 
+def _apply_on_pair(g4: np.ndarray, t: np.ndarray, i: int, j: int) -> np.ndarray:
+    """g4 applied to axes (i-1, j-1) of the qubit tensor t; other axes ride along."""
+    t = np.moveaxis(t, (i - 1, j - 1), (0, 1))
+    shape = t.shape
+    t = (g4 @ t.reshape(4, -1)).reshape(shape)
+    return np.moveaxis(t, (0, 1), (i - 1, j - 1))
+
+
 @dataclass(frozen=True)
 class EmbeddedGate:
     """A 4x4 unitary acting on qubits (i, j) of a register, identity elsewhere."""
@@ -76,13 +84,8 @@ class EmbeddedGate:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """Factor-wise application to a flat state vector of the register."""
-        nq = self.reg.n_qubits
-        t = np.asarray(state, dtype=complex).reshape((2,) * (nq + 1))
-        t = np.moveaxis(t, (self.i - 1, self.j - 1), (0, 1))
-        shape = t.shape
-        t = self.matrix4 @ t.reshape(4, -1)
-        t = np.moveaxis(t.reshape(shape), (0, 1), (self.i - 1, self.j - 1))
-        return t.reshape(-1)
+        t = np.asarray(state, dtype=complex).reshape((2,) * (self.reg.n_qubits + 1))
+        return _apply_on_pair(self.matrix4, t, self.i, self.j).reshape(-1)
 
     def dense(self) -> np.ndarray:
         """Full register matrix via Kronecker products (small registers only)."""
@@ -123,18 +126,13 @@ def _local_program(gate) -> GateProgram:
 
 
 def _embed_in_monolithic(g4: np.ndarray, i: int, j: int, k: int) -> np.ndarray:
-    """The 4x4 gate on qubits (i, j) as a dense 2^k unitary (monolithic code)."""
+    """The 4x4 gate on qubits (i, j) as a dense 2^k unitary (monolithic code).
+
+    All 2^k basis columns go through one matmul, as a trailing batch axis.
+    """
     dim = 2 ** k
-    out = np.zeros((dim, dim), dtype=complex)
-    t = np.zeros((2,) * k, dtype=complex)
-    for col in range(dim):
-        t[...] = 0
-        t.reshape(-1)[col] = 1.0
-        u = np.moveaxis(t, (i - 1, j - 1), (0, 1))
-        shape = u.shape
-        u = (g4 @ u.reshape(4, -1)).reshape(shape)
-        out[:, col] = np.moveaxis(u, (0, 1), (i - 1, j - 1)).reshape(-1)
-    return out
+    basis = np.eye(dim, dtype=complex).reshape((2,) * k + (dim,))
+    return _apply_on_pair(g4, basis, i, j).reshape(dim, dim)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from cpn_holonomy import (ControlPoint, HamiltonianFamily, eigenstate, frame_unitary,
-                          hamiltonian_at)
+from chart_oracle import eigenstate, hamiltonian_at
+from cpn_holonomy import ControlPoint, HamiltonianFamily, frame_unitary
 from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
 
 

@@ -247,6 +247,36 @@ def test_kick_csv_table(tmp_path, capsys):
     assert 1.6 < d100 / d200 < 2.4  # doubling N halves the distance
 
 
+def _phi_only_loop(tmp_path):
+    """A loop that moves only phis at theta = 0: every step is the identity on the code."""
+    ph = [[0.0, 0.0], [1.0, 0.5], [2.0, 0.0], [0.0, 0.0]]
+    loop = {"n": 2, "points": [[[0.0, 0.0], p] for p in ph], "segments_per_edge": 8}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(loop))
+    return path
+
+
+def test_verify_phi_only_loop_is_identity(tmp_path, capsys):
+    path = _phi_only_loop(tmp_path)
+    code, out = run_cli(["verify", "--loop", str(path), "--time", "20"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    transport = np.array(d["transport"])
+    assert np.max(np.abs(transport[..., 0] + 1j * transport[..., 1] - np.eye(2))) <= 1e-15
+    assert d["leakage"] == [0.0, 0.0]
+    assert d["distance_to_holonomy"] <= 1e-15
+
+
+def test_kick_phi_only_loop_has_no_error(tmp_path, capsys):
+    path = _phi_only_loop(tmp_path)
+    code, out = run_cli(["kick", "--loop", str(path), "--n-list", "1,10,250",
+                         "--time", "5", "--ref-steps", "64"], capsys)
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 3
+    assert all(float(row.split(",")[2]) <= 1e-12 for row in rows)
+
+
 def test_kick_empty_nlist_exits_2(capsys):
     assert main(["kick", "--name", "crot", "--n-list", ",", "--time", "5"]) == 2
 

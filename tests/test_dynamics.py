@@ -1,17 +1,18 @@
 """Dynamical verifiers: adiabatic transport, kick scheme, timescale advisory."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from chart_oracle import hamiltonian_at
 from cpn_holonomy import (ControlPoint, GateStep, HamiltonianFamily, KickPlan, LoopPath,
-                          Schedule, adiabatic_transport, hamiltonian_at, holonomy,
-                          kick_code_block, kick_evolution, primitive_holonomy,
-                          program_schedule, propagate_frames, realize_step_as_loop,
-                          timescale_check, two_qubit_gate)
+                          Schedule, adiabatic_transport, holonomy, kick_evolution,
+                          primitive_holonomy, program_schedule, propagate_frames,
+                          realize_step_as_loop, timescale_check, two_qubit_gate)
+from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
 from cpn_holonomy.dynamics import MAX_STEPS, _arclength_interpolator, smoothstep
-from cpn_holonomy.linalg import max_abs_diff, unitarity_defect
+from cpn_holonomy.linalg import max_abs_diff, rank1_product, unitarity_defect
 
 C1_QUARTER = GateStep("C1", 1, None, np.pi / 4)
 
@@ -162,6 +163,58 @@ def test_rank1_stepper_matches_dense_expm(n):
         assert max_abs_diff(kick_evolution(fam, plan), expect) <= 1e-12
 
 
+LEVEL_KINDS = ("free", "dead", "half_pi", "spike")
+
+
+def _loop_with_levels(rng, kinds, vertices):
+    """Closed polyline whose theta column j is, by kinds[j]: random, exactly 0,
+    frozen at pi/2, or nonzero at one interior vertex only. Every phi moves."""
+    n = len(kinds)
+    th = np.zeros((vertices, n))
+    ph = rng.uniform(0.1, 6.0, (vertices, n))
+    for j, kind in enumerate(kinds):
+        if kind == "free":
+            th[:, j] = rng.uniform(0.1, 1.4, vertices)
+        elif kind == "half_pi":
+            th[:, j] = np.pi / 2
+        elif kind == "spike":
+            th[rng.integers(1, vertices - 1), j] = rng.uniform(0.3, 1.4)
+    th[-1], ph[-1] = th[0], ph[0]
+    return LoopPath(n, th, ph)
+
+
+def _check_against_all_levels(fam, u, thetas, phis, dt):
+    """u against the stepper run on all n+1 levels; levels whose theta is 0 at
+    every sample must come out as exact identity rows and columns."""
+    expect = rank1_product(np.exp(-1j * fam.epsilon0 * dt) - 1.0,
+                           excited_state_batch(thetas, phis))
+    assert max_abs_diff(u, expect) <= 1e-13
+    dead = np.flatnonzero(np.all(thetas == 0.0, axis=0))
+    eye = np.eye(fam.dim)
+    assert np.array_equal(u[dead], eye[dead])
+    assert np.array_equal(u[:, dead], eye[:, dead])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(LEVEL_KINDS), min_size=1, max_size=5),
+       st.integers(3, 6), st.sampled_from([1, 37, 200]), st.integers(0, 2 ** 32 - 1))
+@example(["dead", "half_pi", "spike", "free"], 5, 200, 0)
+@example(["spike", "dead"], 3, 37, 1)
+@example(["dead", "dead"], 4, 200, 2)
+def test_live_level_stepping_matches_all_levels(kinds, vertices, steps, seed):
+    # both oracles step only the levels whose theta moves, plus level n+1
+    rng = np.random.default_rng(seed)
+    loop = _loop_with_levels(rng, kinds, vertices)
+    fam = HamiltonianFamily(loop.n, epsilon0=1.3)
+    total = 20.0
+    th, ph = _arclength_interpolator(loop)(smoothstep((np.arange(steps) + 0.5) / steps))
+    _check_against_all_levels(fam, propagate_frames(fam, loop, total, steps), th, ph,
+                              total / steps)
+    plan = KickPlan.from_loop(loop, total, steps)
+    _check_against_all_levels(fam, kick_evolution(fam, plan), plan.thetas[:-1],
+                              plan.phis[:-1], plan.delta_t)
+
+
 @pytest.mark.parametrize("total,steps", [(0.0, 10), (-1.0, 10), (np.inf, 10),
                                          (np.nan, 10), (10.0, 0), (10.0, MAX_STEPS + 1)])
 def test_propagate_frames_validation(total, steps):
@@ -202,7 +255,6 @@ def test_kick_all_base_is_free_evolution():
     plan = KickPlan(2, 0.25, pts, pts * 0.4)
     got = kick_evolution(fam, plan)
     base = np.concatenate([pts[0], pts[0] * 0.4])
-    from cpn_holonomy.chart import frame_unitary_batch
     f0 = frame_unitary_batch(base[:2], base[2:])
     t = 8 * 0.25
     expect = f0 @ np.diag([1, 1, np.exp(-1j * 1.3 * t)]) @ f0.conj().T
@@ -221,6 +273,12 @@ def test_kick_first_order_convergence():
         errs[n_int] = max_abs_diff(kick_evolution(fam, plan), ref)
     assert 1.6 < errs[250] / errs[500] < 2.4
     assert 1.6 < errs[500] / errs[1000] < 2.4
+
+
+def kick_code_block(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
+    """Code-subspace block of the kick propagator, in the base-point frame."""
+    code = frame_unitary_batch(plan.thetas[0], plan.phis[0])[:, : f.n]
+    return code.conj().T @ kick_evolution(f, plan) @ code
 
 
 def test_kick_plus_adiabatic_reproduces_holonomy():
