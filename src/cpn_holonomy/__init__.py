@@ -10,11 +10,11 @@ from .chart import ControlPoint, HamiltonianFamily, frame_unitary
 from .connection import (ConnectionValue, DiscretizationError, connection_along,
                          connection_analytic, connection_numeric)
 from .dynamics import (KickPlan, Schedule, TimescaleReport, adiabatic_transport,
-                       kick_evolution, program_schedule, propagate_frames, smoothstep,
-                       timescale_check)
+                       kick_evolution, propagate_frames, smoothstep, timescale_check)
 from .gates import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                     compile_unitary, named_gate_matrix, primitive_holonomy,
-                    realize_step_as_loop, single_qubit_block, two_qubit_gate)
+                    program_schedule, realize_step_as_loop, single_qubit_block,
+                    two_qubit_gate)
 from .holonomy import UnitarityError, UnitaryMatrix, holonomy
 from .loops import (LoopPath, PlaneTag, circle_loop, concatenate, enclosed_area,
                     l_shape_loop, loop_from_plane_vertices, rectangle_loop, reverse)

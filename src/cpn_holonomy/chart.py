@@ -90,11 +90,6 @@ class HamiltonianFamily:
     def dim(self) -> int:
         return self.n + 1
 
-    def h0(self) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[self.n, self.n] = self.epsilon0
-        return h
-
 
 def frame_unitary_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Frames for a batch of points; theta/phi shape (..., n) -> (..., n+1, n+1)."""

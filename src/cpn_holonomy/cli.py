@@ -30,11 +30,12 @@ from . import linalg
 from .chart import ControlPoint, HamiltonianFamily
 from .connection import connection_analytic
 from .dynamics import KickPlan, Schedule, adiabatic_transport, kick_evolution, \
-    program_schedule, propagate_frames
+    propagate_frames
 from .gates import GateProgram, GateStep, compile_u2_block, embed_two_level, \
-    named_gate_matrix, primitive_holonomy, realize_step_as_loop, two_qubit_gate
+    named_gate_matrix, primitive_holonomy, program_schedule, realize_step_as_loop, \
+    two_qubit_gate
 from .holonomy import UnitarityError, holonomy
-from .loops import FAMILIES, LoopPath, enclosed_area
+from .loops import FAMILIES, LoopPath, enclosed_area, json_int
 from .multipartite import Register, apply_circuit, gate_count
 
 _PI_RE = re.compile(r"^\s*([+-]?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
@@ -147,17 +148,42 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _load_json_file(path: str):
+def _load_json_file(path: str, decode):
+    """decode(the file's JSON value); a value of the wrong shape (a list for an
+    object, null for a number, a missing key) is a ValueError naming the file."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return decode(data)
+    except (TypeError, KeyError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed input file {path}: {type(exc).__name__}: {exc}") from None
+
+
+def _decode_point(d) -> ControlPoint:
+    return ControlPoint(json_int(d["n"], "n"), np.array(d["theta"], float),
+                        np.array(d["phi"], float))
+
+
+def _decode_target(d) -> np.ndarray:
+    return dec_matrix(d["matrix"] if isinstance(d, dict) else d)
+
+
+def _decode_circuit(entries) -> list:
+    circuit = []
+    for entry in entries:
+        gate = entry["gate"]
+        if isinstance(gate, dict):
+            gate = dec_matrix(gate["matrix"])
+        i, j = entry["pair"]
+        circuit.append(((json_int(i, "pair"), json_int(j, "pair")), gate))
+    return circuit
 
 
 # ---------- subcommand implementations ----------
 
 def cmd_connection(args) -> str:
     if args.point:
-        d = _load_json_file(args.point)
-        p = ControlPoint(int(d["n"]), np.array(d["theta"], float), np.array(d["phi"], float))
+        p = _load_json_file(args.point, _decode_point)
     else:
         theta = parse_angle_list(args.theta) if args.theta else []
         phi = parse_angle_list(args.phi) if args.phi else [0.0] * len(theta)
@@ -171,7 +197,7 @@ def cmd_connection(args) -> str:
 
 
 def cmd_holonomy(args) -> str:
-    loop, segs = LoopPath.from_json_dict(_load_json_file(args.loop))
+    loop, segs = _load_json_file(args.loop, LoopPath.from_json_dict)
     if args.segments is not None:
         segs = args.segments
     u = holonomy(loop, segs)
@@ -201,8 +227,7 @@ def cmd_gate(args) -> str:
 
 
 def cmd_compile(args) -> str:
-    d = _load_json_file(args.target)
-    target = dec_matrix(d["matrix"] if isinstance(d, dict) else d)
+    target = _load_json_file(args.target, _decode_target)
     n = max(args.beta_bar, 2) if args.n is None else args.n
     program = compile_u2_block(target, args.beta, args.beta_bar, n)
     embedded = embed_two_level(target, args.beta, args.beta_bar, n)
@@ -218,13 +243,13 @@ def cmd_compile(args) -> str:
 
 
 def _loop_from_args(args) -> tuple[LoopPath, int]:
+    """The loop and its segments per edge; a program loop is exact at one."""
     if getattr(args, "loop", None):
-        return LoopPath.from_json_dict(_load_json_file(args.loop))
+        return _load_json_file(args.loop, LoopPath.from_json_dict)
     if getattr(args, "program", None):
-        prog = GateProgram.from_json_dict(_load_json_file(args.program))
-        return program_schedule(prog), 64
+        return program_schedule(_load_json_file(args.program, GateProgram.from_json_dict)), 1
     if getattr(args, "name", None):
-        return program_schedule(two_qubit_gate(args.name)), 64
+        return program_schedule(two_qubit_gate(args.name)), 1
     raise ValueError("need one of --loop, --program or --name")
 
 
@@ -262,13 +287,7 @@ def cmd_kick(args) -> str:
 
 
 def cmd_circuit(args) -> str:
-    entries = _load_json_file(args.circuit)
-    circuit = []
-    for entry in entries:
-        gate = entry["gate"]
-        if isinstance(gate, dict):
-            gate = dec_matrix(gate["matrix"])
-        circuit.append(((int(entry["pair"][0]), int(entry["pair"][1])), gate))
+    circuit = _load_json_file(args.circuit, _decode_circuit)
     reg = Register(args.qubits, +1 if args.ancilla != "-" else -1)
     state = apply_circuit(reg, circuit, reg.basis_state(args.state))
     cost = gate_count(circuit, args.qubits, monolithic=not args.no_monolithic)
@@ -363,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, help="XOR|CROT|SWAP|PHASE1|PHASE2|UPH1")
     p.add_argument("--sigma1", type=parse_angle, default=np.pi / 4)
     p.add_argument("--sigma3", type=parse_angle, default=np.pi / 4)
-    p.add_argument("--segments", type=int, default=128)
+    p.add_argument("--segments", type=int, default=1)
     p.set_defaults(func=cmd_gate)
 
     p = sub.add_parser("compile", parents=[common], help="compile a 2x2 target onto a block")

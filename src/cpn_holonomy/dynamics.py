@@ -36,6 +36,9 @@ Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
 For loops based at the chart origin the base frame is the identity and the
 overlaps reduce to plain computational-basis amplitudes.
+
+Both oracles take a loop; a gate program reaches them as its composite loop
+(gates.program_schedule).
 """
 from __future__ import annotations
 
@@ -47,9 +50,8 @@ import numpy as np
 
 from . import linalg
 from .chart import HamiltonianFamily, excited_state_batch, frame_unitary
-from .gates import GateProgram, realize_step_as_loop, split_step
 from .holonomy import UnitaryMatrix, holonomy
-from .loops import LoopPath, _split_coord
+from .loops import LoopPath
 
 MAX_EPS_DT = 0.05  # stepper resolution rule: epsilon0 * dt <= this
 MAX_STEPS = 2 ** 22  # most steps or kick intervals one propagation may take
@@ -323,53 +325,3 @@ def timescale_check(plan: KickPlan, tau_k: float, tau_lambda: float,
         else:
             rep.flags[name] = "violated"
     return rep
-
-
-# ---------- composite schedules for gate programs ----------
-
-def _connector(n: int, frozen: dict[str, float], reverse: bool) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Origin <-> loop-base path, moving one frozen coordinate at a time.
-
-    Every leg varies a single coordinate while all theta except (possibly)
-    already-raised frozen ones stay at zero, so the connection vanishes
-    identically along the way and the legs transport nothing.
-    """
-    th, ph = np.zeros(n), np.zeros(n)
-    pts = [(th.copy(), ph.copy())]
-    for name in sorted(frozen):
-        kind, idx = _split_coord(name)
-        th, ph = th.copy(), ph.copy()
-        (th if kind == "theta" else ph)[idx - 1] = frozen[name]
-        pts.append((th, ph))
-    return pts[::-1] if reverse else pts
-
-
-def program_schedule(program: GateProgram) -> LoopPath:
-    """One closed chart loop through all program steps, based at the origin.
-
-    Each step's rectangle is preceded/followed by zero-connection connector
-    legs that set up and tear down its frozen coordinates, so the composite
-    loop's holonomy (and its adiabatic transport) equals the program product.
-    """
-    n = program.n
-    ths: list[np.ndarray] = [np.zeros(n)]
-    phs: list[np.ndarray] = [np.zeros(n)]
-
-    def push(t, p):
-        if np.max(np.abs(t - ths[-1])) > 0 or np.max(np.abs(p - phs[-1])) > 0:
-            ths.append(np.asarray(t, dtype=float))
-            phs.append(np.asarray(p, dtype=float))
-
-    for step in program.steps:
-        for part in split_step(step):
-            loop = realize_step_as_loop(part, n)
-            frozen = part.frozen_coords()
-            for t, p in _connector(n, frozen, reverse=False):
-                push(t, p)
-            for t, p in zip(loop.thetas, loop.phis):
-                push(t, p)
-            for t, p in _connector(n, frozen, reverse=True):
-                push(t, p)
-    if len(ths) < 3:  # empty program: degenerate loop at the origin
-        ths, phs = [np.zeros(n)] * 3, [np.zeros(n)] * 3
-    return LoopPath(n, np.stack(ths), np.stack(phs))

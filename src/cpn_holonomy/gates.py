@@ -14,11 +14,13 @@ phase conjugation around any rectangle); such steps are accepted with a
 warning. C3/C4 accept either index order: swapping (b, bb) conjugates the
 generator, which the realized loop absorbs as an orientation flip.
 
-A GateProgram is an ordered list of steps (first-executed first); evaluation
-composes the step matrices with later steps multiplying on the left, either
-from the closed forms (exact) or by full loop integration through the
-holonomy engine. Diagonal phases on a single level b are realized as
-C1(b, -gamma) [phase e^{i gamma}], which is what the compilers lean on.
+A GateProgram is an ordered list of steps (first-executed first). evaluate
+composes the closed forms, later steps on the left; evaluate_integrated is
+the holonomy of the program's one composite loop (program_schedule), which
+the dynamical oracles also run. Its edges move one chart coordinate each,
+where the midpoint engine is exact, so one segment per edge suffices.
+Diagonal phases on a single level b are realized as C1(b, -gamma) [phase
+e^{i gamma}], which is what the compilers lean on.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .holonomy import UnitaryMatrix, holonomy
-from .loops import FAMILIES, LoopPath, PlaneTag, rectangle_loop
+from .loops import FAMILIES, LoopPath, PlaneTag, _bulk_point, json_int, rectangle_loop
 
 MAX_RECT_AREA = {"C1": 1.5 * np.pi, "C2": 1.5 * np.pi, "C3": np.pi / 2, "C4": np.pi / 2}
 _ZERO_AREA = 1e-14
@@ -130,8 +132,7 @@ def realize_step_as_loop(step: GateStep, n: int) -> LoopPath:
             f"{cap:.6g} for {step.family}; split the step first")
     plane = step.plane()
     if abs(step.area) < _ZERO_AREA:
-        base = rectangle_loop(n, plane, 0.0, 0.0, clockwise=False, family=step.family)
-        return base
+        return rectangle_loop(n, plane, 0.0, 0.0, clockwise=False, family=step.family)
     target = step.area
     if step.family in ("C3", "C4") and step.beta > step.beta_bar:
         target = -target  # sorted-plane line integral runs the other way
@@ -161,6 +162,8 @@ class GateProgram:
     residual_phase: float = 0.0
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"program dimension n must be >= 1, got {self.n!r}")
         object.__setattr__(self, "steps", tuple(self.steps))
         for s in self.steps:
             s.validate_for(self.n)
@@ -172,13 +175,9 @@ class GateProgram:
             u = primitive_holonomy(s, self.n).matrix @ u
         return UnitaryMatrix.from_raw(u)
 
-    def evaluate_integrated(self, segments_per_edge: int = 64) -> UnitaryMatrix:
-        """Full loop-integration product through the holonomy engine."""
-        u = np.eye(self.n, dtype=complex)
-        for s in self.steps:
-            for part in split_step(s):
-                u = holonomy(realize_step_as_loop(part, self.n), segments_per_edge).matrix @ u
-        return UnitaryMatrix.from_raw(u)
+    def evaluate_integrated(self, segments_per_edge: int = 1) -> UnitaryMatrix:
+        """Holonomy of the composite loop, integrated from the connection."""
+        return holonomy(program_schedule(self), segments_per_edge)
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "steps": [s.to_json_dict() for s in self.steps],
@@ -189,11 +188,40 @@ class GateProgram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GateProgram":
-        steps = tuple(GateStep(s["family"], int(s["beta"]),
-                               None if s.get("beta_bar") is None else int(s["beta_bar"]),
-                               float(s["area"]))
+        steps = tuple(GateStep(s["family"], json_int(s["beta"], "beta"),
+                               None if s.get("beta_bar") is None
+                               else json_int(s["beta_bar"], "beta_bar"), float(s["area"]))
                       for s in d["steps"])
-        return cls(int(d["n"]), steps, float(d.get("residual_phase", 0.0)))
+        return cls(json_int(d["n"], "n"), steps, float(d.get("residual_phase", 0.0)))
+
+
+def program_schedule(program: GateProgram) -> LoopPath:
+    """One closed chart loop through all program steps, based at the origin.
+
+    Each step's rectangle is entered and left through its base point, the
+    origin with the step's one frozen coordinate (if any) set. The connector
+    legs origin -> base -> origin move that coordinate alone at zero theta
+    elsewhere, so they transport nothing: the composite loop's holonomy (and
+    its adiabatic transport) is the program product.
+    """
+    n = program.n
+    origin = np.zeros(n)
+    ths, phs = [origin], [origin]
+
+    def push(t, p):
+        if np.max(np.abs(t - ths[-1])) > 0 or np.max(np.abs(p - phs[-1])) > 0:
+            ths.append(np.asarray(t, dtype=float))
+            phs.append(np.asarray(p, dtype=float))
+
+    for step in program.steps:
+        for part in split_step(step):
+            base = _bulk_point(n, part.frozen_coords())
+            loop = realize_step_as_loop(part, n)
+            for t, p in [base, *zip(loop.thetas, loop.phis), base, (origin, origin)]:
+                push(t, p)
+    if len(ths) < 3:  # empty program: degenerate loop at the origin
+        ths, phs = [origin] * 3, [origin] * 3
+    return LoopPath(n, np.stack(ths), np.stack(phs))
 
 
 # ---------- single-block compiler ----------

@@ -58,6 +58,14 @@ def _split_coord(name: str) -> tuple[str, int]:
     return kind, int(idx)
 
 
+def json_int(value, name: str) -> int:
+    """An integer JSON field; int() would truncate 4.7 to 4 and read true as 1."""
+    if isinstance(value, bool) or not (isinstance(value, int) or
+                                       isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class LoopPath:
     """An oriented closed polyline in the chart.
@@ -103,14 +111,6 @@ class LoopPath:
         if bad.size:
             raise ValueError("plane-tagged loop varies coordinates outside its plane")
 
-    @classmethod
-    def from_points(cls, points: list[ControlPoint], plane: PlaneTag | None = None,
-                    family: str | None = None) -> "LoopPath":
-        n = points[0].n
-        th = np.stack([p.theta for p in points])
-        ph = np.stack([p.phi for p in points])
-        return cls(n, th, ph, plane, family)
-
     @property
     def num_vertices(self) -> int:
         return self.thetas.shape[0]
@@ -118,9 +118,6 @@ class LoopPath:
     @property
     def base_point(self) -> ControlPoint:
         return ControlPoint(self.n, self.thetas[0], self.phis[0])
-
-    def vertices(self) -> list[ControlPoint]:
-        return [ControlPoint(self.n, t, p) for t, p in zip(self.thetas, self.phis)]
 
     def is_degenerate(self) -> bool:
         return (np.max(np.abs(self.thetas - self.thetas[0])) <= CLOSURE_TOL
@@ -153,8 +150,8 @@ class LoopPath:
         plane = None
         if d.get("plane"):
             plane = PlaneTag(tuple(d["plane"]["coords"]), dict(d["plane"].get("frozen", {})))
-        loop = cls(int(d["n"]), th, ph, plane, d.get("family"))
-        return loop, int(d.get("segments_per_edge", 64))
+        loop = cls(json_int(d["n"], "n"), th, ph, plane, d.get("family"))
+        return loop, json_int(d.get("segments_per_edge", 64), "segments_per_edge")
 
 
 def concatenate(a: LoopPath, b: LoopPath) -> LoopPath:

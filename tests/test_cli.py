@@ -118,6 +118,25 @@ def test_holonomy_loop_file(tmp_path, capsys):
     assert d["unitarity_defect"] < 1e-9
 
 
+C1_STEP = {"family": "C1", "beta": 1, "beta_bar": None, "area": 0.5}
+BAD_FILES = {
+    "pair_list": [1, 2],
+    "null_points": {"n": 1, "points": [None, None, None]},
+    "null_step": {"n": 2, "steps": [None]},
+    "null_entry": [None],
+    "plain_object": {"a": 1},
+    "real_matrix": [[1, 0], [0, 1]],  # entries must be [re, im] pairs
+    "fractional_n_program": {"n": 4.7, "steps": [C1_STEP]},
+    "fractional_beta_program": {"n": 2, "steps": [dict(C1_STEP, beta=1.5)]},
+    "boolean_n_program": {"n": True, "steps": [C1_STEP]},
+    "zero_n_program": {"n": 0, "steps": []},
+    "negative_n_program": {"n": -1, "steps": []},
+    "fractional_pair": [{"pair": [1.5, 2], "gate": "XOR"}],
+    "boolean_pair": [{"pair": [True, 2], "gate": "XOR"}],
+    "fractional_n_point": {"n": 1.5, "theta": [0.1], "phi": [0.0]},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["connection", "--theta", "nan,0.3"],
     ["holonomy", "--loop", "{nan_loop}"],
@@ -139,6 +158,27 @@ def test_holonomy_loop_file(tmp_path, capsys):
      "--ref-steps", "16"],
     ["verify", "--name", "crot", "--time", "1", "--steps", "100000000000000"],
     ["verify", "--name", "crot", "--time", "1e300"],  # eps0 T / 0.05 steps needed
+    # an input file of the wrong shape is one error naming the file, not a traceback
+    ["holonomy", "--loop", "{pair_list}"],
+    ["holonomy", "--loop", "{null_points}"],
+    ["verify", "--program", "{pair_list}", "--time", "1"],
+    ["verify", "--program", "{null_step}", "--time", "1"],
+    ["kick", "--program", "{pair_list}", "--n-list", "10"],
+    ["kick", "--program", "{null_step}", "--n-list", "10"],
+    ["circuit", "--circuit", "{null_entry}", "--qubits", "2", "--state", "00"],
+    ["circuit", "--circuit", "{plain_object}", "--qubits", "2", "--state", "00"],
+    ["compile", "--target", "{real_matrix}", "--beta", "1", "--beta-bar", "2"],
+    # integer fields are never truncated nor read from booleans
+    ["verify", "--program", "{fractional_n_program}", "--time", "1"],
+    ["verify", "--program", "{fractional_beta_program}", "--time", "1"],
+    ["verify", "--program", "{boolean_n_program}", "--time", "1"],
+    ["verify", "--program", "{zero_n_program}", "--time", "1"],
+    ["verify", "--program", "{negative_n_program}", "--time", "1"],
+    ["holonomy", "--loop", "{fractional_segments_loop}"],
+    ["holonomy", "--loop", "{fractional_n_loop}"],
+    ["circuit", "--circuit", "{fractional_pair}", "--qubits", "2", "--state", "00"],
+    ["circuit", "--circuit", "{boolean_pair}", "--qubits", "2", "--state", "00"],
+    ["connection", "--point", "{fractional_n_point}"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = json.loads(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
@@ -147,6 +187,11 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
              "target": tmp_path / "target.json"}
     files["loop"].write_text(json.dumps(loop))
     files["target"].write_text(json.dumps({"matrix": SIGMA_X}))
+    contents = dict(BAD_FILES, fractional_segments_loop=dict(loop, segments_per_edge=2.9),
+                    fractional_n_loop=dict(loop, n=1.5))
+    for name, value in contents.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(value))
     loop["points"][1][0][0] = float("nan")  # json writes the NaN literal and reads it back
     files["nan_loop"].write_text(json.dumps(loop))
     assert main([a.format(**files) for a in argv]) == 2

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.stats import unitary_group
 
 from chart_oracle import hamiltonian_at
-from cpn_holonomy import (ControlPoint, GateStep, HamiltonianFamily, KickPlan, LoopPath,
-                          Schedule, adiabatic_transport, holonomy, kick_evolution,
-                          primitive_holonomy, program_schedule, propagate_frames,
-                          realize_step_as_loop, timescale_check, two_qubit_gate)
+from cpn_holonomy import (ControlPoint, GateProgram, GateStep, HamiltonianFamily, KickPlan,
+                          LoopPath, Schedule, adiabatic_transport, compile_unitary, holonomy,
+                          kick_evolution, primitive_holonomy, program_schedule,
+                          propagate_frames, realize_step_as_loop, timescale_check,
+                          two_qubit_gate)
 from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
 from cpn_holonomy.dynamics import MAX_STEPS, _arclength_interpolator, smoothstep
+from cpn_holonomy.gates import split_step
 from cpn_holonomy.linalg import max_abs_diff, rank1_product, unitarity_defect
 
 C1_QUARTER = GateStep("C1", 1, None, np.pi / 4)
@@ -99,12 +102,41 @@ def test_oracle_agreement_crot_program():
     assert np.max(diag.leakage) < 1e-3
 
 
-def test_program_schedule_equals_program_product():
+NAMED_GATES = ("XOR", "CROT", "SWAP", "PHASE1", "PHASE2", "UPH1")
+
+
+def per_step_product(prog, segments_per_edge):
+    """Product of the separately integrated step loops, later steps on the left."""
+    u = np.eye(prog.n, dtype=complex)
+    for step in prog.steps:
+        for part in split_step(step):
+            u = holonomy(realize_step_as_loop(part, prog.n), segments_per_edge).matrix @ u
+    return u
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.floats(-np.pi, np.pi), st.floats(-np.pi, np.pi), st.integers(0, 2 ** 32 - 1))
+@example(0.4, 0.9, 0)
+def test_program_schedule_equals_program_product(sigma1, sigma3, seed):
     # connector legs transport nothing: composite-loop holonomy == step product
     for name in ("CROT", "XOR", "UPH1"):
         prog = two_qubit_gate(name, sigma1=0.4, sigma3=0.9)
         comp = program_schedule(prog)
         assert holonomy(comp, 64).distance(prog.evaluate().matrix) < 1e-10
+    # the composite loop's edges run along single chart axes, on which the
+    # midpoint engine is exact: one segment per edge reaches roundoff, and the
+    # composite agrees with the product of separately integrated steps
+    for name in NAMED_GATES:
+        prog = two_qubit_gate(name, sigma1=sigma1, sigma3=sigma3)
+        assert prog.evaluate_integrated(1).distance(prog.evaluate()) <= 1e-14
+        for segs in (1, 8, 64):
+            assert prog.evaluate_integrated(segs).distance(per_step_product(prog, segs)) <= 1e-13
+    rng = np.random.default_rng(seed)
+    programs = [compile_unitary(unitary_group.rvs(n, random_state=rng), n)
+                for n in range(2, 7)]
+    programs.append(GateProgram(2, (GateStep("C3", 1, 2, 2.0),)))  # capacity pi/2: two parts
+    for prog in programs:
+        assert prog.evaluate_integrated(1).distance(prog.evaluate()) <= 1e-14
 
 
 def test_propagator_unitarity():
