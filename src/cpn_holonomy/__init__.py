@@ -9,8 +9,8 @@ repeated-pulse kick scheme).
 from .chart import ControlPoint, HamiltonianFamily, frame_unitary
 from .connection import (ConnectionValue, DiscretizationError, connection_along,
                          connection_analytic, connection_numeric)
-from .dynamics import (KickPlan, Schedule, TimescaleReport, adiabatic_transport,
-                       kick_evolution, propagate_frames, smoothstep, timescale_check)
+from .dynamics import (KickPlan, Schedule, adiabatic_transport, kick_evolution,
+                       propagate_frames, smoothstep)
 from .gates import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                     compile_unitary, named_gate_matrix, primitive_holonomy,
                     program_schedule, realize_step_as_loop, single_qubit_block,
@@ -32,8 +32,7 @@ __all__ = [
     "realize_step_as_loop", "compile_u2_block", "compile_unitary",
     "two_qubit_gate", "named_gate_matrix", "single_qubit_block",
     "Schedule", "KickPlan", "adiabatic_transport", "kick_evolution",
-    "timescale_check", "TimescaleReport", "propagate_frames", "program_schedule",
-    "smoothstep",
+    "propagate_frames", "program_schedule", "smoothstep",
     "Register", "EmbeddedGate", "embed_local_gate", "apply_circuit", "gate_count",
     "CostReport",
 ]

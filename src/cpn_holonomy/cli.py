@@ -1,7 +1,23 @@
 """Command-line front end with machine-readable JSON/CSV output.
 
-Subcommands: connection, holonomy, gate, compile, verify, kick, circuit,
-sweep. Angle-valued arguments accept pi-literals such as "pi", "pi/2",
+Each subcommand takes only the options it reads; any other is a usage
+error (exit 2). Every one takes --out (a path, '-' for stdout), and
+
+    connection  --n --theta --phi, or --point (a file, excluding the three)
+    holonomy    --loop --segments
+    gate        --name --sigma1 --sigma3 --segments --tol
+    compile     --target --beta --beta-bar --n --tol
+    verify      one of --loop/--program/--name; --time --steps --epsilon0 --tol
+    kick        one of --loop/--program/--name; --n-list --time --ref-steps
+                --epsilon0 --format (csv by default)
+    circuit     --circuit --qubits --state --ancilla --no-monolithic
+    sweep       --kind random-rects (default) with --n --family, or --kind
+                segments with --loop; --cases --segments --seed --format
+                (json by default)
+
+argparse also reads a unique prefix of an option's name ("--tim"), so a
+bare "--n" on gate and verify means --name, and on kick it is ambiguous.
+Angle-valued arguments accept pi-literals such as "pi", "pi/2",
 "-3pi/4" alongside plain floats, so areas stay exact; a negative angle may
 follow its option as its own token ("--sigma1 -pi/4"). All JSON output goes
 through `dump_json`, whose bytes are those of
@@ -34,7 +50,7 @@ from .dynamics import KickPlan, Schedule, adiabatic_transport, kick_evolution, \
 from .gates import GateProgram, GateStep, compile_u2_block, embed_two_level, \
     named_gate_matrix, primitive_holonomy, program_schedule, realize_step_as_loop, \
     two_qubit_gate
-from .holonomy import UnitarityError, holonomy
+from .holonomy import UnitarityError, check_segment_budget, holonomy
 from .loops import FAMILIES, LoopPath, enclosed_area, json_int
 from .multipartite import Register, apply_circuit, gate_count
 
@@ -182,7 +198,9 @@ def _decode_circuit(entries) -> list:
 # ---------- subcommand implementations ----------
 
 def cmd_connection(args) -> str:
-    if args.point:
+    if args.point is not None:
+        if (args.n, args.theta, args.phi) != (None, None, None):
+            args.error("argument --point: not allowed with --n, --theta or --phi")
         p = _load_json_file(args.point, _decode_point)
     else:
         theta = parse_angle_list(args.theta) if args.theta else []
@@ -244,13 +262,11 @@ def cmd_compile(args) -> str:
 
 def _loop_from_args(args) -> tuple[LoopPath, int]:
     """The loop and its segments per edge; a program loop is exact at one."""
-    if getattr(args, "loop", None):
+    if args.loop is not None:
         return _load_json_file(args.loop, LoopPath.from_json_dict)
-    if getattr(args, "program", None):
+    if args.program is not None:
         return program_schedule(_load_json_file(args.program, GateProgram.from_json_dict)), 1
-    if getattr(args, "name", None):
-        return program_schedule(two_qubit_gate(args.name)), 1
-    raise ValueError("need one of --loop, --program or --name")
+    return program_schedule(two_qubit_gate(args.name)), 1
 
 
 def cmd_verify(args) -> str:
@@ -277,7 +293,7 @@ def cmd_kick(args) -> str:
         plan = KickPlan.from_loop(loop, args.time, n_int)
         dist = linalg.max_abs_diff(kick_evolution(fam, plan), ref)
         rows.append((n_int, args.time / n_int, dist))
-    if (args.format or "csv") == "json":  # kick is a sweep: CSV unless asked otherwise
+    if args.format == "json":
         return dump_json({"T": args.time, "ref_steps": args.ref_steps,
                           "rows": [{"N": N, "delta_t": dt, "distance": d}
                                    for N, dt, d in rows]})
@@ -299,6 +315,12 @@ def cmd_circuit(args) -> str:
 
 
 def cmd_sweep(args) -> str:
+    if args.kind == "segments" and (args.n, args.family) != (None, None):
+        args.error("arguments --n and --family: not allowed with --kind segments")
+    if args.kind == "segments" and args.loop is None:
+        args.error("--kind segments requires --loop")
+    if args.kind == "random-rects" and args.loop is not None:
+        args.error("argument --loop: not allowed with --kind random-rects")
     if args.cases < 1:
         raise ValueError("--cases must be >= 1")
     rng = np.random.default_rng(args.seed)
@@ -324,8 +346,8 @@ def cmd_sweep(args) -> str:
             dist = holonomy(loop, args.segments).distance(primitive_holonomy(step, n).matrix)
             rows.append({"case": case, "family": family, "beta": beta,
                          "beta_bar": beta_bar, "area": area, "distance": dist})
-    elif args.kind == "segments":
-        loop, _ = _loop_from_args(args)
+    else:
+        loop, _ = _load_json_file(args.loop, LoopPath.from_json_dict)
         if not loop.family:
             raise ValueError("segments sweep needs a family-tagged loop")
         area = enclosed_area(loop, loop.family)
@@ -333,14 +355,14 @@ def cmd_sweep(args) -> str:
         beta = tag[0][1]
         beta_bar = tag[1][1] if tag[1][1] != beta else None
         ref = primitive_holonomy(GateStep(loop.family, beta, beta_bar, area), loop.n).matrix
+        # the last case's count; past 64 doublings every count is over the budget
+        check_segment_budget(loop, args.segments << min(args.cases - 1, 64))
         segs = args.segments
         for _ in range(args.cases):
             rows.append({"segments_per_edge": segs,
                          "distance": holonomy(loop, segs).distance(ref)})
             segs *= 2
-    else:
-        raise ValueError(f"unknown sweep kind {args.kind!r}")
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         keys = list(rows[0].keys())
         lines = [",".join(keys)]
         lines += [",".join(repr(r[k]) if isinstance(r[k], float) else str(r[k]) for k in keys)
@@ -357,76 +379,77 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cpn-holo",
         description="Holonomic gates on the CP^n control manifold: connection, "
                     "holonomies, gate programs and dynamical verification.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None, help="code dimension")
-    common.add_argument("--tol", type=float, default=1e-6, help="report tolerance")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
-    common.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (default json; kick defaults to csv)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("connection", parents=[common],
-                       help="dump the connection components at a chart point")
-    p.add_argument("--point", help="JSON file {n, theta, phi}")
+    def subcommand(name: str, func, help_: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
+        p.set_defaults(func=func, error=p.error)
+        return p
+
+    def loop_sources(p: argparse.ArgumentParser):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--loop", help="loop JSON file")
+        group.add_argument("--program", help="gate program JSON file")
+        group.add_argument("--name", help="named two-qubit gate")
+
+    p = subcommand("connection", cmd_connection,
+                   "dump the connection components at a chart point")
+    p.add_argument("--n", type=int, default=None, help="code dimension")
+    p.add_argument("--point", help="JSON file {n, theta, phi}; excludes --n, --theta, --phi")
     p.add_argument("--theta", help="comma-separated angles (pi-literals ok)")
     p.add_argument("--phi", help="comma-separated angles")
-    p.set_defaults(func=cmd_connection)
 
-    p = sub.add_parser("holonomy", parents=[common], help="integrate a loop JSON file")
+    p = subcommand("holonomy", cmd_holonomy, "integrate a loop JSON file")
     p.add_argument("--loop", required=True)
     p.add_argument("--segments", type=int, default=None)
-    p.set_defaults(func=cmd_holonomy)
 
-    p = sub.add_parser("gate", parents=[common], help="emit and evaluate a named gate program")
+    p = subcommand("gate", cmd_gate, "emit and evaluate a named gate program")
+    p.add_argument("--tol", type=float, default=1e-6, help="report tolerance")
     p.add_argument("--name", required=True, help="XOR|CROT|SWAP|PHASE1|PHASE2|UPH1")
     p.add_argument("--sigma1", type=parse_angle, default=np.pi / 4)
     p.add_argument("--sigma3", type=parse_angle, default=np.pi / 4)
     p.add_argument("--segments", type=int, default=1)
-    p.set_defaults(func=cmd_gate)
 
-    p = sub.add_parser("compile", parents=[common], help="compile a 2x2 target onto a block")
+    p = subcommand("compile", cmd_compile, "compile a 2x2 target onto a block")
+    p.add_argument("--n", type=int, default=None, help="code dimension")
+    p.add_argument("--tol", type=float, default=1e-6, help="report tolerance")
     p.add_argument("--target", required=True, help="JSON file with 2x2 'matrix' of [re,im]")
     p.add_argument("--beta", type=int, required=True)
     p.add_argument("--beta-bar", dest="beta_bar", type=int, required=True)
-    p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="adiabatic-transport report for a loop or program")
-    p.add_argument("--loop")
-    p.add_argument("--program")
-    p.add_argument("--name", help="named two-qubit gate")
+    p = subcommand("verify", cmd_verify, "adiabatic-transport report for a loop or program")
+    p.add_argument("--tol", type=float, default=1e-6, help="report tolerance")
+    loop_sources(p)
     p.add_argument("--time", type=parse_angle, required=True, help="total time (units 1/eps0)")
     p.add_argument("--steps", type=int, default=1000)
     p.add_argument("--epsilon0", type=float, default=1.0)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("kick", parents=[common], help="kick-scheme convergence table")
-    p.add_argument("--loop")
-    p.add_argument("--program")
-    p.add_argument("--name")
+    p = subcommand("kick", cmd_kick, "kick-scheme convergence table")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    loop_sources(p)
     p.add_argument("--n-list", dest="n_list", required=True,
                    help="comma-separated interval counts, e.g. 250,500,1000")
     p.add_argument("--time", type=parse_angle, default=40.0)
     p.add_argument("--ref-steps", dest="ref_steps", type=int, default=16384)
     p.add_argument("--epsilon0", type=float, default=1.0)
-    p.set_defaults(func=cmd_kick)
 
-    p = sub.add_parser("circuit", parents=[common], help="run a local-gate circuit on a register")
+    p = subcommand("circuit", cmd_circuit, "run a local-gate circuit on a register")
     p.add_argument("--circuit", required=True, help="JSON list of {pair, gate}")
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--state", required=True, help="initial bit string, e.g. 010")
     p.add_argument("--ancilla", choices=("+", "-"), default="+")
     p.add_argument("--no-monolithic", action="store_true")
-    p.set_defaults(func=cmd_circuit)
 
-    p = sub.add_parser("sweep", parents=[common], help="randomized/convergence sweeps")
+    p = subcommand("sweep", cmd_sweep, "randomized/convergence sweeps")
+    p.add_argument("--n", type=int, default=None, help="code dimension")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--kind", choices=("random-rects", "segments"), default="random-rects")
-    p.add_argument("--family", choices=FAMILIES)
+    p.add_argument("--family", choices=FAMILIES, help="random-rects only")
     p.add_argument("--cases", type=int, default=8)
     p.add_argument("--segments", type=int, default=64)
-    p.add_argument("--loop")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--loop", help="family-tagged loop JSON file; segments only")
     return parser
 
 

@@ -43,7 +43,7 @@ Both oracles take a loop; a gate program reaches them as its composite loop
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -213,11 +213,11 @@ def adiabatic_transport(f: HamiltonianFamily, sched: Schedule,
     if np.any(leakage > leakage_bound):
         warnings.warn(f"leakage up to {float(np.max(leakage)):.3e} exceeds "
                       f"{leakage_bound:.0e}: run may be non-adiabatic", stacklevel=2)
+    projected = linalg.polar_project(m)
     dist = None
     if compare_holonomy:
-        dist = linalg.max_abs_diff(linalg.polar_project(m),
-                                   holonomy(loop, segments_per_edge).matrix)
-    transport = UnitaryMatrix(f.n, linalg.polar_project(m), defect)
+        dist = linalg.max_abs_diff(projected, holonomy(loop, segments_per_edge).matrix)
+    transport = UnitaryMatrix(f.n, projected, defect)
     diag = TransportDiagnostics(leakage, m, defect, dist, sched.total_time, steps)
     return transport, diag
 
@@ -280,48 +280,3 @@ def kick_evolution(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
         raise ValueError("family and plan dimensions disagree")
     live = _live_levels(plan.thetas[:-1])
     return _rank1_product(f, live, plan.thetas[:-1, live], plan.phis[:-1, live], plan.delta_t)
-
-
-@dataclass
-class TimescaleReport:
-    """Advisory check of the kick-scheme separation tau_k <= dt << 1/omega << tau_lambda."""
-
-    tau_k: float
-    delta_t: float
-    omega: float
-    tau_lambda: float
-    margin: float
-    ratios: dict = field(default_factory=dict)
-    flags: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(v == "ok" for v in self.flags.values())
-
-    def to_json_dict(self) -> dict:
-        return {"tau_k": self.tau_k, "delta_t": self.delta_t, "omega": self.omega,
-                "tau_lambda": self.tau_lambda, "margin": self.margin,
-                "ratios": self.ratios, "flags": self.flags, "ok": self.ok}
-
-
-def timescale_check(plan: KickPlan, tau_k: float, tau_lambda: float,
-                    omega: float = 1.0, margin: float = 10.0) -> TimescaleReport:
-    """Evaluate the inequality chain with measured ratios; advisory only.
-
-    'tau_k <= dt' is a plain inequality; the two 'much less than' relations
-    pass when the ratio is >= margin, and exactly-at-margin is flagged
-    marginal (boundary policy: strict > passes, == is marginal).
-    """
-    rep = TimescaleReport(tau_k, plan.delta_t, omega, tau_lambda, margin)
-    rep.ratios["delta_t_over_tau_k"] = plan.delta_t / tau_k
-    rep.flags["tau_k_le_delta_t"] = "ok" if plan.delta_t >= tau_k else "violated"
-    for name, ratio in (("delta_t_ll_inv_omega", 1.0 / (omega * plan.delta_t)),
-                        ("inv_omega_ll_tau_lambda", tau_lambda * omega)):
-        rep.ratios[name] = ratio
-        if ratio > margin:
-            rep.flags[name] = "ok"
-        elif ratio == margin:
-            rep.flags[name] = "marginal"
-        else:
-            rep.flags[name] = "violated"
-    return rep

@@ -9,10 +9,12 @@ enclosed area (conventions in loops.py):
     C3 on (theta_b, theta_bb), phi = 0:     exp(-(|b><bb| - |bb><b|) S)
     C4 on (theta_b, theta_bb), phi_b=pi/2:  exp(-i (|b><bb| + |bb><b|) S)
 
-C2 with bb <= b gives the identity (the two active connection legs cancel by
+C2 with bb < b gives the identity (the two active connection legs cancel by
 phase conjugation around any rectangle); such steps are accepted with a
-warning. C3/C4 accept either index order: swapping (b, bb) conjugates the
-generator, which the realized loop absorbs as an orientation flip.
+warning. Every family but C1 rejects bb == b: a C2 rectangle's theta_b axis
+would overwrite its own frozen theta_bb = pi/2. C3/C4 accept either index
+order: swapping (b, bb) conjugates the generator, which the realized loop
+absorbs as an orientation flip.
 
 A GateProgram is an ordered list of steps (first-executed first). evaluate
 composes the closed forms, later steps on the left; evaluate_integrated is
@@ -24,7 +26,6 @@ e^{i gamma}], which is what the compilers lean on.
 """
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ class GateStep:
             raise ValueError(f"unknown family {self.family!r}")
         if self.family != "C1" and self.beta_bar is None:
             raise ValueError(f"{self.family} needs a beta_bar index")
-        if self.family in ("C3", "C4") and self.beta_bar == self.beta:
+        if self.family != "C1" and self.beta_bar == self.beta:
             raise ValueError(f"{self.family} requires beta != beta_bar")
         if not np.isfinite(self.area):
             raise ValueError(f"area must be finite, got {self.area!r}")
@@ -98,9 +99,9 @@ def primitive_holonomy(step: GateStep, n: int) -> UnitaryMatrix:
     if step.family == "C1":
         g[b, b] = -1j * s
     elif step.family == "C2":
-        if step.beta_bar <= step.beta:
+        if step.beta_bar < step.beta:
             warnings.warn(
-                f"C2 with beta_bar={step.beta_bar} <= beta={step.beta} is a "
+                f"C2 with beta_bar={step.beta_bar} < beta={step.beta} is a "
                 "trivial-holonomy configuration; returning identity", stacklevel=2)
             return UnitaryMatrix.from_raw(np.eye(n, dtype=complex))
         g[b, b] = 1j * s
@@ -182,9 +183,6 @@ class GateProgram:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "steps": [s.to_json_dict() for s in self.steps],
                 "residual_phase": float(self.residual_phase)}
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=indent)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GateProgram":

@@ -41,6 +41,9 @@ from .loops import LoopPath
 
 ACCEPT_DEFECT = 1e-9
 REJECT_DEFECT = 1e-6
+# most edges x segments per edge x n^2 one holonomy may take: it bounds the
+# segment factors (at most n x n each) and the arrays built alongside them
+MAX_SEGMENT_ENTRIES = 2 ** 22
 
 
 class UnitarityError(ValueError):
@@ -85,12 +88,6 @@ class UnitaryMatrix:
     @property
     def matrix(self) -> np.ndarray:
         return self.entries
-
-    def dagger(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(self.dim, self.entries.conj().T, self.defect)
-
-    def __matmul__(self, other: "UnitaryMatrix") -> "UnitaryMatrix":
-        return UnitaryMatrix.from_raw(self.entries @ other.entries)
 
     def distance(self, other) -> float:
         o = other.entries if isinstance(other, UnitaryMatrix) else np.asarray(other)
@@ -153,6 +150,15 @@ def _segment_generators(loop: LoopPath, segments_per_edge: int
     return live, levels, -block
 
 
+def check_segment_budget(loop: LoopPath, segments_per_edge: int):
+    """ValueError if integrating the loop at this count exceeds MAX_SEGMENT_ENTRIES."""
+    edges = loop.num_vertices - 1
+    if edges * segments_per_edge * loop.n ** 2 > MAX_SEGMENT_ENTRIES:
+        raise ValueError(f"{edges} edges x {segments_per_edge} segments per edge at n = "
+                         f"{loop.n} exceed the budget of {MAX_SEGMENT_ENTRIES} "
+                         "segment-factor entries")
+
+
 def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     """Loop holonomy on the n-dimensional code, by ordered segment exponentials.
 
@@ -161,6 +167,7 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     """
     if segments_per_edge < 1:
         raise ValueError("segments_per_edge must be >= 1")
+    check_segment_budget(loop, segments_per_edge)
     u = np.eye(loop.n, dtype=complex)
     if not loop.is_degenerate():
         live, levels, gens = _segment_generators(loop, segments_per_edge)

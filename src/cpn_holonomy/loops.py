@@ -23,7 +23,6 @@ quadrature error.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,9 +137,6 @@ class LoopPath:
                        for t, p in zip(self.thetas, self.phis)],
             "segments_per_edge": segments_per_edge,
         }
-
-    def to_json(self, segments_per_edge: int = 64, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(segments_per_edge), sort_keys=True, indent=indent)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> tuple["LoopPath", int]:

@@ -1,4 +1,5 @@
 """CLI behavior: schemas, exit codes, pi-literals, determinism."""
+import argparse
 import json
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cpn_holonomy import GateStep, realize_step_as_loop
+from cpn_holonomy import GateStep, realize_step_as_loop, two_qubit_gate
 from cpn_holonomy.cli import build_parser, dump_json, main, parse_angle
 
 
@@ -107,7 +108,7 @@ def test_connection_malformed_input_exits_2(tmp_path, capsys):
 def test_holonomy_loop_file(tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
     path = tmp_path / "loop.json"
-    path.write_text(loop.to_json(segments_per_edge=16))
+    path.write_text(json.dumps(loop.to_json_dict(segments_per_edge=16)))
     code, out = run_cli(["holonomy", "--loop", str(path)], capsys)
     assert code == 0
     d = json.loads(out)
@@ -134,6 +135,7 @@ BAD_FILES = {
     "fractional_pair": [{"pair": [1.5, 2], "gate": "XOR"}],
     "boolean_pair": [{"pair": [True, 2], "gate": "XOR"}],
     "fractional_n_point": {"n": 1.5, "theta": [0.1], "phi": [0.0]},
+    "c2_same_index_program": {"n": 2, "steps": [dict(C1_STEP, family="C2", beta_bar=1)]},
 }
 
 
@@ -179,10 +181,16 @@ BAD_FILES = {
     ["circuit", "--circuit", "{fractional_pair}", "--qubits", "2", "--state", "00"],
     ["circuit", "--circuit", "{boolean_pair}", "--qubits", "2", "--state", "00"],
     ["connection", "--point", "{fractional_n_point}"],
+    # a C2 step with beta_bar == beta would integrate to a different gate
+    ["verify", "--program", "{c2_same_index_program}", "--time", "1"],
+    # segment counts above holonomy.MAX_SEGMENT_ENTRIES fail before any allocation;
+    # the sweep checks its last, doubled count before its first case
+    ["holonomy", "--loop", "{loop}", "--segments", "100000000000000"],
+    ["sweep", "--kind", "segments", "--loop", "{loop}", "--segments", "1", "--cases", "70"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
-    loop = json.loads(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
-                      .to_json(segments_per_edge=16))
+    loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(
+        segments_per_edge=16)
     files = {"loop": tmp_path / "loop.json", "nan_loop": tmp_path / "nan.json",
              "target": tmp_path / "target.json"}
     files["loop"].write_text(json.dumps(loop))
@@ -248,7 +256,7 @@ def test_compile_evaluates_the_program_once(tmp_path, capsys, monkeypatch):
 def test_verify_report_schema(tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
     path = tmp_path / "loop.json"
-    path.write_text(loop.to_json())
+    path.write_text(json.dumps(loop.to_json_dict()))
     code, out = run_cli(["verify", "--loop", str(path), "--time", "400",
                          "--tol", "5e-2"], capsys)
     assert code == 0
@@ -267,7 +275,7 @@ def test_verify_program_file(tmp_path, capsys):
     from cpn_holonomy import two_qubit_gate
     prog = two_qubit_gate("CROT")
     path = tmp_path / "prog.json"
-    path.write_text(prog.to_json())
+    path.write_text(json.dumps(prog.to_json_dict()))
     code, out = run_cli(["verify", "--program", str(path), "--time", "1500",
                          "--tol", "0.2"], capsys)
     assert code == 0
@@ -279,7 +287,7 @@ def test_verify_program_file(tmp_path, capsys):
 def test_kick_csv_table(tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
     path = tmp_path / "loop.json"
-    path.write_text(loop.to_json())
+    path.write_text(json.dumps(loop.to_json_dict()))
     code, out = run_cli(["kick", "--loop", str(path), "--n-list", "1,100,200",
                          "--time", "10", "--ref-steps", "2048"], capsys)
     assert code == 0
@@ -361,6 +369,65 @@ def test_circuit_subcommand(tmp_path, capsys):
     assert d["cost"]["total_local"] == 3
 
 
+# ---------- options per subcommand ----------
+
+OPTIONS = {
+    "connection": {"--out", "--n", "--point", "--theta", "--phi"},
+    "holonomy": {"--out", "--loop", "--segments"},
+    "gate": {"--out", "--tol", "--name", "--sigma1", "--sigma3", "--segments"},
+    "compile": {"--out", "--n", "--tol", "--target", "--beta", "--beta-bar"},
+    "verify": {"--out", "--tol", "--loop", "--program", "--name", "--time", "--steps",
+               "--epsilon0"},
+    "kick": {"--out", "--format", "--loop", "--program", "--name", "--n-list", "--time",
+             "--ref-steps", "--epsilon0"},
+    "circuit": {"--out", "--circuit", "--qubits", "--state", "--ancilla", "--no-monolithic"},
+    "sweep": {"--out", "--n", "--seed", "--format", "--kind", "--family", "--cases",
+              "--segments", "--loop"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    got = {name: [opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+                  for opt in a.option_strings]
+           for name, p in subparsers.choices.items()}
+    assert {name: set(opts) for name, opts in got.items()} == OPTIONS
+    assert sum(len(opts) for opts in got.values()) == 52
+
+
+@pytest.mark.parametrize("argv", [
+    # options that the subcommand never reads
+    ["verify", "--name", "crot", "--time", "250", "--format", "csv"],
+    ["holonomy", "--loop", "{loop}", "--tol", "1e-3"],
+    ["connection", "--n", "2", "--seed", "3"],
+    ["circuit", "--circuit", "{circ}", "--qubits", "2", "--state", "10", "--format", "json"],
+    ["gate", "--name", "xor", "--seed", "3"],
+    # two input sources where one is read
+    ["verify", "--loop", "{loop}", "--name", "crot", "--time", "250"],
+    ["kick", "--program", "{program}", "--name", "xor", "--n-list", "10"],
+    ["kick", "--n-list", "10"],
+    ["connection", "--point", "{point}", "--theta", "0.1"],
+    # options of the other sweep kind
+    ["sweep", "--loop", "{loop}"],
+    ["sweep", "--kind", "segments", "--family", "C1", "--loop", "{loop}"],
+    ["sweep", "--kind", "segments"],
+])
+def test_unread_or_conflicting_options_exit_2(argv, tmp_path, capsys):
+    files = {name: tmp_path / f"{name}.json" for name in ("loop", "circ", "program", "point")}
+    files["loop"].write_text(json.dumps(
+        realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(8)))
+    files["circ"].write_text(json.dumps([{"pair": [1, 2], "gate": "XOR"}]))
+    files["program"].write_text(json.dumps(two_qubit_gate("CROT").to_json_dict()))
+    files["point"].write_text(json.dumps({"n": 1, "theta": [0.1], "phi": [0.0]}))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "Traceback" not in captured.err
+
+
 # ---------- JSON writer ----------
 
 def _reference_json(obj) -> str:
@@ -409,7 +476,8 @@ def test_dump_json_rejects_what_it_cannot_write(obj):
 def test_cli_json_is_canonical(tmp_path, capsys):
     # every JSON subcommand prints exactly what json.dumps prints for the same data
     loop = tmp_path / "loop.json"
-    loop.write_text(realize_step_as_loop(GateStep("C2", 1, 2, 0.7), 3).to_json(segments_per_edge=4))
+    loop.write_text(json.dumps(realize_step_as_loop(GateStep("C2", 1, 2, 0.7), 3)
+                               .to_json_dict(segments_per_edge=4)))
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"matrix": SIGMA_X}))
     circ = tmp_path / "circ.json"
@@ -454,8 +522,8 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
     # non-default options and then with its defaults, and each output must
     # equal a fresh interpreter's, so no option value leaks into a later call
     loop = tmp_path / "loop.json"
-    loop.write_text(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
-                    .to_json(segments_per_edge=8))
+    loop.write_text(json.dumps(realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
+                               .to_json_dict(segments_per_edge=8)))
     target = tmp_path / "target.json"
     target.write_text(json.dumps({"matrix": SIGMA_X}))
     circ = tmp_path / "circ.json"
@@ -512,7 +580,7 @@ def test_sweep_segments_convergence(tmp_path, capsys):
     loop = circle_loop(1, PlaneTag(("theta:1", "phi:1")), (0.7, 1.0), 0.3,
                        num_vertices=64, clockwise=True, family="C1")
     path = tmp_path / "circle.json"
-    path.write_text(loop.to_json())
+    path.write_text(json.dumps(loop.to_json_dict()))
     code, out = run_cli(["sweep", "--kind", "segments", "--loop", str(path),
                          "--segments", "2", "--cases", "3"], capsys)
     assert code == 0

@@ -1,4 +1,4 @@
-"""Dynamical verifiers: adiabatic transport, kick scheme, timescale advisory."""
+"""Dynamical verifiers: adiabatic transport and the kick scheme."""
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -10,8 +10,7 @@ from chart_oracle import hamiltonian_at
 from cpn_holonomy import (ControlPoint, GateProgram, GateStep, HamiltonianFamily, KickPlan,
                           LoopPath, Schedule, adiabatic_transport, compile_unitary, holonomy,
                           kick_evolution, primitive_holonomy, program_schedule,
-                          propagate_frames, realize_step_as_loop, timescale_check,
-                          two_qubit_gate)
+                          propagate_frames, realize_step_as_loop, two_qubit_gate)
 from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
 from cpn_holonomy.dynamics import MAX_STEPS, _arclength_interpolator, smoothstep
 from cpn_holonomy.gates import split_step
@@ -336,37 +335,6 @@ def test_kick_plan_validation():
         KickPlan.from_loop(c1_loop(), 10.0, 0)
     with pytest.raises(ValueError, match="num_intervals must be <="):
         KickPlan.from_loop(c1_loop(), 10.0, MAX_STEPS + 1)
-
-
-# ---------- timescale advisory ----------
-
-def _plan(delta_t):
-    pts = np.zeros((3, 1))
-    return KickPlan(1, delta_t, pts, pts)
-
-
-def test_timescales_all_pass():
-    rep = timescale_check(_plan(1e-3), tau_k=1e-3, tau_lambda=1e3, omega=1.0)
-    assert rep.ok
-    assert all(v == "ok" for v in rep.flags.values())
-    assert rep.ratios["inv_omega_ll_tau_lambda"] == 1e3
-
-
-def test_timescales_flag_fast_free_evolution():
-    rep = timescale_check(_plan(2.0), tau_k=1e-3, tau_lambda=1e3, omega=1.0)
-    assert rep.flags["delta_t_ll_inv_omega"] == "violated"
-    assert not rep.ok
-
-
-def test_timescales_marginal_at_threshold():
-    rep = timescale_check(_plan(0.1), tau_k=1e-3, tau_lambda=1e3, omega=1.0, margin=10.0)
-    assert rep.flags["delta_t_ll_inv_omega"] == "marginal"
-    assert not rep.ok
-
-
-def test_timescale_report_serializes():
-    d = timescale_check(_plan(1e-3), 1e-3, 1e3).to_json_dict()
-    assert set(d) >= {"ratios", "flags", "ok", "margin"}
 
 
 @settings(max_examples=20, deadline=None)

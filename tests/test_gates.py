@@ -275,7 +275,7 @@ def test_program_unitarity_invariant():
 
 def test_program_json_round_trip():
     prog = two_qubit_gate("XOR")
-    back = GateProgram.from_json_dict(json.loads(prog.to_json()))
+    back = GateProgram.from_json_dict(json.loads(json.dumps(prog.to_json_dict())))
     assert back.n == 4
     assert back.steps == prog.steps
     d = prog.to_json_dict()
