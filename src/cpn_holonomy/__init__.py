@@ -7,33 +7,28 @@ independent dynamical verifiers (adiabatic Schrodinger transport and the
 repeated-pulse kick scheme).
 """
 from .chart import ControlPoint, HamiltonianFamily, frame_unitary
-from .connection import (ConnectionValue, DiscretizationError, connection_along,
-                         connection_analytic, connection_numeric)
-from .dynamics import (KickPlan, Schedule, adiabatic_transport, kick_evolution,
-                       propagate_frames, smoothstep)
+from .connection import ConnectionValue, connection_along, connection_analytic
+from .dynamics import (KickPlan, adiabatic_transport, kick_evolution, propagate_frames,
+                       smoothstep)
 from .gates import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                     compile_unitary, named_gate_matrix, primitive_holonomy,
                     program_schedule, realize_step_as_loop, single_qubit_block,
                     two_qubit_gate)
 from .holonomy import UnitarityError, UnitaryMatrix, holonomy
-from .loops import (LoopPath, PlaneTag, circle_loop, concatenate, enclosed_area,
-                    l_shape_loop, loop_from_plane_vertices, rectangle_loop, reverse)
-from .multipartite import (CostReport, EmbeddedGate, Register, apply_circuit,
-                           embed_local_gate, gate_count)
+from .loops import LoopPath, PlaneTag, enclosed_area, loop_from_plane_vertices, rectangle_loop
+from .multipartite import CostReport, EmbeddedGate, Register, apply_circuit, gate_count
 
 __all__ = [
     "ControlPoint", "HamiltonianFamily", "frame_unitary",
-    "ConnectionValue", "connection_along", "connection_analytic", "connection_numeric",
-    "DiscretizationError",
-    "LoopPath", "PlaneTag", "concatenate", "reverse", "enclosed_area",
-    "rectangle_loop", "circle_loop", "l_shape_loop", "loop_from_plane_vertices",
+    "ConnectionValue", "connection_along", "connection_analytic",
+    "LoopPath", "PlaneTag", "enclosed_area", "rectangle_loop", "loop_from_plane_vertices",
     "UnitaryMatrix", "UnitarityError", "holonomy",
     "GateStep", "GateProgram", "AreaRangeError", "primitive_holonomy",
     "realize_step_as_loop", "compile_u2_block", "compile_unitary",
     "two_qubit_gate", "named_gate_matrix", "single_qubit_block",
-    "Schedule", "KickPlan", "adiabatic_transport", "kick_evolution",
+    "KickPlan", "adiabatic_transport", "kick_evolution",
     "propagate_frames", "program_schedule", "smoothstep",
-    "Register", "EmbeddedGate", "embed_local_gate", "apply_circuit", "gate_count",
+    "Register", "EmbeddedGate", "apply_circuit", "gate_count",
     "CostReport",
 ]
 

@@ -52,26 +52,6 @@ class ControlPoint:
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "phi", ph)
 
-    @classmethod
-    def origin(cls, n: int) -> "ControlPoint":
-        return cls(n, np.zeros(n), np.zeros(n))
-
-    def replace(self, **coords: float) -> "ControlPoint":
-        """New point with coordinates like theta1=..., phi3=... overridden (1-based)."""
-        th, ph = self.theta.copy(), self.phi.copy()
-        for key, val in coords.items():
-            kind, idx = _parse_coord_name(key)
-            (th if kind == "theta" else ph)[idx - 1] = val
-        return ControlPoint(self.n, th, ph)
-
-
-def _parse_coord_name(key: str) -> tuple[str, int]:
-    for kind in ("theta", "phi"):
-        if key.startswith(kind):
-            idx = int(key[len(kind):].lstrip(":_ "))
-            return kind, idx
-    raise ValueError(f"unknown coordinate name {key!r}; use theta<k>/phi<k> or theta:<k>")
-
 
 @dataclass(frozen=True)
 class HamiltonianFamily:

@@ -17,6 +17,8 @@ error (exit 2). Every one takes --out (a path, '-' for stdout), and
 
 argparse also reads a unique prefix of an option's name ("--tim"), so a
 bare "--n" on gate and verify means --name, and on kick it is ambiguous.
+An option given twice, under any of its prefixes, is a usage error (exit
+2): "gate --n 4 --name xor" names --name twice.
 Angle-valued arguments accept pi-literals such as "pi", "pi/2",
 "-3pi/4" alongside plain floats, so areas stay exact; a negative angle may
 follow its option as its own token ("--sigma1 -pi/4"). All JSON output goes
@@ -45,8 +47,7 @@ import numpy as np
 from . import linalg
 from .chart import ControlPoint, HamiltonianFamily
 from .connection import connection_analytic
-from .dynamics import KickPlan, Schedule, adiabatic_transport, kick_evolution, \
-    propagate_frames
+from .dynamics import KickPlan, adiabatic_transport, kick_evolution, propagate_frames
 from .gates import GateProgram, GateStep, compile_u2_block, embed_two_level, \
     named_gate_matrix, primitive_holonomy, program_schedule, realize_step_as_loop, \
     two_qubit_gate
@@ -272,10 +273,10 @@ def _loop_from_args(args) -> tuple[LoopPath, int]:
 def cmd_verify(args) -> str:
     loop, segs = _loop_from_args(args)
     fam = HamiltonianFamily(loop.n, args.epsilon0)
-    sched = Schedule(loop, args.time, steps=args.steps)
-    transport, diag = adiabatic_transport(fam, sched, segments_per_edge=segs)
+    transport, diag = adiabatic_transport(fam, loop, args.time, args.steps)
+    dist = transport.distance(holonomy(loop, segs))
     report = {"transport": linalg.complex_pairs(transport.matrix), **diag.to_json_dict(),
-              "within_tol": bool(diag.distance_to_holonomy < args.tol)}
+              "distance_to_holonomy": dist, "within_tol": bool(dist < args.tol)}
     return dump_json(report)
 
 
@@ -356,7 +357,8 @@ def cmd_sweep(args) -> str:
         beta_bar = tag[1][1] if tag[1][1] != beta else None
         ref = primitive_holonomy(GateStep(loop.family, beta, beta_bar, area), loop.n).matrix
         # the last case's count; past 64 doublings every count is over the budget
-        check_segment_budget(loop, args.segments << min(args.cases - 1, 64))
+        check_segment_budget(loop.num_vertices - 1, args.segments << min(args.cases - 1, 64),
+                             loop.n)
         segs = args.segments
         for _ in range(args.cases):
             rows.append({"segments_per_edge": segs,
@@ -373,6 +375,21 @@ def cmd_sweep(args) -> str:
 
 # ---------- parser ----------
 
+class _Once(argparse.Action):
+    """Store an option's value; a second occurrence is a usage error.
+
+    argparse would keep the last value. The options seen so far are kept on
+    the namespace of the parse, so the cached parser keeps no state.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"argument {'/'.join(self.option_strings)}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -383,6 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def subcommand(name: str, func, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
+        p.register("action", None, _Once)  # the default action of every option below
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.set_defaults(func=func, error=p.error)
         return p
@@ -439,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", type=int, required=True)
     p.add_argument("--state", required=True, help="initial bit string, e.g. 010")
     p.add_argument("--ancilla", choices=("+", "-"), default="+")
-    p.add_argument("--no-monolithic", action="store_true")
+    p.add_argument("--no-monolithic", nargs=0, const=True, default=False)
 
     p = subcommand("sweep", cmd_sweep, "randomized/convergence sweeps")
     p.add_argument("--n", type=int, default=None, help="code dimension")

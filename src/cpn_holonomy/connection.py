@@ -2,25 +2,21 @@
 
 Components A^{theta_b} and A^{phi_b} (b = 1..n) are n x n anti-hermitian
 matrices over the code frame, with entries A_{r,c} = <psi_r | d/d(coord) psi_c>
-(row = bra index, column = differentiated state). Two independent evaluation
-routes are provided:
+(row = bra index, column = differentiated state).
 
-- connection_along: one closed form for the connection along a direction,
-  A_delta = sum_b d_theta_b A^{theta_b} + d_phi_b A^{phi_b}. The frame is
-  U = R_n ... R_1, so each component conjugates the sparse generator
-  R_b† d R_b by the prefix frame R_{b-1} ... R_1. On the code this is a
-  rank <= 3 term built from the unit vector u_b and w_b, row n+1 of the
-  prefix frame. Only the levels a batch touches (the moving ones and the
-  support of their w_b) are returned; every other entry is exactly zero.
-  connection_analytic evaluates it on the 2n unit directions, and the loop
-  integrator on its segment midpoints;
-- connection_numeric: central-difference differentiation of the closed-form
-  eigenframe, projected on the frame at the point.
+connection_along is the one closed form for the connection along a
+direction, A_delta = sum_b d_theta_b A^{theta_b} + d_phi_b A^{phi_b}. The
+frame is U = R_n ... R_1, so each component conjugates the sparse generator
+R_b† d R_b by the prefix frame R_{b-1} ... R_1. On the code this is a
+rank <= 3 term built from the unit vector u_b and w_b, row n+1 of the
+prefix frame. Only the levels a batch touches (the moving ones and the
+support of their w_b) are returned; every other entry is exactly zero.
+connection_analytic evaluates it on the 2n unit directions, and the loop
+integrator on its segment midpoints.
 
-The numeric route always differentiates the same smooth frame section
-(never a per-point eigensolver), so no gauge jumps enter the comparison.
-The suite checks the closed form against the numeric route and against the
-per-entry trigonometric formulas at random and boundary points.
+The test suite checks the closed form against an independent route, central
+differences of the closed-form frame (tests/connection_oracle.py), and
+against the per-entry trigonometric formulas at random and boundary points.
 """
 from __future__ import annotations
 
@@ -29,13 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chart import THETA_MAX, ControlPoint, frame_unitary_batch
-
-ANTIHERMITICITY_TOL = 1e-10
-
-
-class DiscretizationError(ValueError):
-    """Central-difference step would leave the chart at this point."""
+from .chart import ControlPoint
 
 
 @dataclass(frozen=True)
@@ -49,18 +39,6 @@ class ConnectionValue:
     n: int
     a_theta: np.ndarray  # shape (n, n, n)
     a_phi: np.ndarray  # shape (n, n, n)
-
-    def component(self, kind: str, beta: int) -> np.ndarray:
-        """Component matrix for coordinate kind in {'theta','phi'} and 1-based beta."""
-        if not 1 <= beta <= self.n:
-            raise IndexError(f"beta must be in 1..{self.n}")
-        return (self.a_theta if kind == "theta" else self.a_phi)[beta - 1]
-
-    def max_antihermiticity_defect(self) -> float:
-        d = 0.0
-        for comp in (self.a_theta, self.a_phi):
-            d = max(d, float(np.max(np.abs(comp + comp.conj().transpose(0, 2, 1)))))
-        return d
 
     def to_json_dict(self) -> dict:
         # 1-based beta index: position k along the first axis is the coordinate beta = k + 1
@@ -129,48 +107,3 @@ def connection_analytic(p: ControlPoint) -> ConnectionValue:
     full = np.zeros((2 * n, n, n), dtype=complex)
     full[:, levels[:, None], levels] = block
     return ConnectionValue(n, full[:n], full[n:])
-
-
-def connection_numeric(p: ControlPoint, step: float = 1e-5,
-                       return_defect: bool = False):
-    """Central-difference connection from the closed-form frame.
-
-    Requires every theta coordinate to sit at least `step` inside [0, pi/2]
-    (phi is periodic and needs no margin); raises DiscretizationError
-    otherwise. The raw overlap matrix is anti-hermitized by M <- (M - M†)/2;
-    with return_defect=True the pre-symmetrization defect max over components
-    is returned alongside as a diagnostic.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    n = p.n
-    if np.any(p.theta < step) or np.any(p.theta > THETA_MAX - step):
-        raise DiscretizationError(
-            f"point within {step} of the theta chart boundary; reduce step or move inward")
-    code0 = frame_unitary_batch(p.theta, p.phi)[:, :n]
-
-    # batch all 4n displaced frames at once
-    thetas = np.tile(p.theta, (4 * n, 1))
-    phis = np.tile(p.phi, (4 * n, 1))
-    for b in range(n):
-        thetas[4 * b + 0, b] += step
-        thetas[4 * b + 1, b] -= step
-        phis[4 * b + 2, b] += step
-        phis[4 * b + 3, b] -= step
-    frames = frame_unitary_batch(thetas, phis)[:, :, :n]
-
-    defect = 0.0
-    a_theta = np.zeros((n, n, n), dtype=complex)
-    a_phi = np.zeros((n, n, n), dtype=complex)
-    for b in range(n):
-        for kind, out, iplus, iminus in (
-                ("theta", a_theta, 4 * b + 0, 4 * b + 1),
-                ("phi", a_phi, 4 * b + 2, 4 * b + 3)):
-            deriv = (frames[iplus] - frames[iminus]) / (2 * step)
-            raw = code0.conj().T @ deriv
-            defect = max(defect, float(np.max(np.abs(raw + raw.conj().T))))
-            out[b] = 0.5 * (raw - raw.conj().T)
-    value = ConnectionValue(n, a_theta, a_phi)
-    if return_defect:
-        return value, defect
-    return value

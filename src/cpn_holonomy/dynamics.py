@@ -37,24 +37,26 @@ vectors of the loop's base point, overlapped against the same base frame.
 For loops based at the chart origin the base frame is the identity and the
 overlaps reduce to plain computational-basis amplitudes.
 
-Both oracles take a loop; a gate program reaches them as its composite loop
-(gates.program_schedule).
+Both oracles take a loop and plain arguments; a gate program reaches them
+as its composite loop (gates.program_schedule). Neither calls the loop
+integrator: comparing a transport with the holonomy is the caller's step
+(cli.cmd_verify), so the two routes stay independent.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import linalg
 from .chart import HamiltonianFamily, excited_state_batch, frame_unitary
-from .holonomy import UnitaryMatrix, holonomy
+from .holonomy import UnitaryMatrix
 from .loops import LoopPath
 
 MAX_EPS_DT = 0.05  # stepper resolution rule: epsilon0 * dt <= this
 MAX_STEPS = 2 ** 22  # most steps or kick intervals one propagation may take
+LEAKAGE_BOUND = 1e-2  # leakage above this flags a transport as non-adiabatic
 
 
 def smoothstep(x):
@@ -70,22 +72,6 @@ def _check_time_and_count(total_time: float, count: float, name: str):
         raise ValueError(f"{name} must be >= 1, got {count!r}")
     if count > MAX_STEPS:
         raise ValueError(f"{name} must be <= {MAX_STEPS}, got {count!r}")
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Time parametrization of one closed loop traversal."""
-
-    loop: LoopPath
-    total_time: float
-    steps: int = 1000
-    ramp: Callable = smoothstep
-
-    def __post_init__(self):
-        _check_time_and_count(self.total_time, self.steps, "steps")
-        s0, s1 = float(self.ramp(0.0)), float(self.ramp(1.0))
-        if abs(s0) > 1e-12 or abs(s1 - 1.0) > 1e-12:
-            raise ValueError("ramp must satisfy s(0)=0 and s(T)=1")
 
 
 def _arclength_interpolator(loop: LoopPath, cols=slice(None)):
@@ -151,8 +137,8 @@ def _rank1_product(f: HamiltonianFamily, live: np.ndarray, thetas: np.ndarray,
 
 
 def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
-                     steps: int, ramp: Callable = smoothstep) -> np.ndarray:
-    """Full (n+1)-dim propagator for one ramped traversal of the loop.
+                     steps: int) -> np.ndarray:
+    """Full (n+1)-dim propagator for one smoothstep-ramped traversal of the loop.
 
     Exponential midpoint rule: U = prod exp(-i H(lambda(s(t_mid))) dt), later
     factors left; each factor is an exact rank-1 step.
@@ -160,16 +146,14 @@ def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     _check_time_and_count(total_time, steps, "steps")
     live = _live_levels(loop.thetas)  # linear interpolation keeps a zero column zero
     lam = _arclength_interpolator(loop, live)
-    th, ph = lam(ramp((np.arange(steps) + 0.5) / steps))
+    th, ph = lam(smoothstep((np.arange(steps) + 0.5) / steps))
     return _rank1_product(f, live, th, ph, total_time / steps)
 
 
 @dataclass
 class TransportDiagnostics:
     leakage: np.ndarray  # per initial code vector
-    raw_overlaps: np.ndarray
     unitarity_defect: float
-    distance_to_holonomy: float | None
     total_time: float
     steps: int
 
@@ -177,49 +161,40 @@ class TransportDiagnostics:
         return {
             "leakage": [float(x) for x in self.leakage],
             "unitarity_defect": float(self.unitarity_defect),
-            "distance_to_holonomy": (None if self.distance_to_holonomy is None
-                                     else float(self.distance_to_holonomy)),
             "T": float(self.total_time),
             "steps": int(self.steps),
         }
 
 
-def adiabatic_transport(f: HamiltonianFamily, sched: Schedule,
-                        compare_holonomy: bool = True,
-                        segments_per_edge: int = 64,
-                        leakage_bound: float = 1e-2
-                        ) -> tuple[UnitaryMatrix, TransportDiagnostics]:
-    """Schrodinger-propagate the code frame around the loop and extract the
-    geometric transformation.
+def adiabatic_transport(f: HamiltonianFamily, loop: LoopPath, total_time: float,
+                        steps: int = 1000) -> tuple[UnitaryMatrix, TransportDiagnostics]:
+    """Schrodinger-propagate the code frame around the loop in total_time and
+    extract the geometric transformation.
 
     Column alpha of the result is the base-frame expansion of the propagated
     alpha-th code vector; leakage per column is the weight lost to the
-    excited level. Exceeding leakage_bound flags a non-adiabatic run in the
-    diagnostics (reported, not fatal). The step count is raised if needed so
-    epsilon0 * dt <= 0.05; a count above MAX_STEPS is a ValueError.
+    excited level. Leakage above LEAKAGE_BOUND warns of a non-adiabatic run
+    (reported, not fatal). The step count is raised if needed so
+    epsilon0 * dt <= MAX_EPS_DT. A bad time, a count below 1 and a count
+    (requested or raised) above MAX_STEPS are ValueErrors.
     """
-    loop = sched.loop
+    _check_time_and_count(total_time, steps, "steps")
     if f.n != loop.n:
         raise ValueError("family and loop dimensions disagree")
     # a float count, so that a huge T fails the check below instead of int()
-    steps = max(sched.steps, float(np.ceil(f.epsilon0 * sched.total_time / MAX_EPS_DT)))
-    _check_time_and_count(sched.total_time, steps, "steps")
+    steps = max(steps, float(np.ceil(f.epsilon0 * total_time / MAX_EPS_DT)))
+    _check_time_and_count(total_time, steps, "steps")
     steps = int(steps)
-    u_full = propagate_frames(f, loop, sched.total_time, steps, sched.ramp)
+    u_full = propagate_frames(f, loop, total_time, steps)
     code = frame_unitary(loop.base_point)[:, : f.n]
     m = code.conj().T @ u_full @ code
     leakage = 1.0 - np.sum(np.abs(m) ** 2, axis=0)
     defect = linalg.unitarity_defect(m)
-    if np.any(leakage > leakage_bound):
+    if np.any(leakage > LEAKAGE_BOUND):
         warnings.warn(f"leakage up to {float(np.max(leakage)):.3e} exceeds "
-                      f"{leakage_bound:.0e}: run may be non-adiabatic", stacklevel=2)
-    projected = linalg.polar_project(m)
-    dist = None
-    if compare_holonomy:
-        dist = linalg.max_abs_diff(projected, holonomy(loop, segments_per_edge).matrix)
-    transport = UnitaryMatrix(f.n, projected, defect)
-    diag = TransportDiagnostics(leakage, m, defect, dist, sched.total_time, steps)
-    return transport, diag
+                      f"{LEAKAGE_BOUND:.0e}: run may be non-adiabatic", stacklevel=2)
+    transport = UnitaryMatrix(f.n, linalg.polar_project(m), defect)
+    return transport, TransportDiagnostics(leakage, defect, total_time, steps)
 
 
 # ---------- kick scheme ----------
@@ -259,13 +234,11 @@ class KickPlan:
         return self.num_intervals * self.delta_t
 
     @classmethod
-    def from_loop(cls, loop: LoopPath, total_time: float, num_intervals: int,
-                  ramp: Callable = smoothstep) -> "KickPlan":
-        """Sample the ramped loop traversal at the kick times t_i = i dt."""
+    def from_loop(cls, loop: LoopPath, total_time: float, num_intervals: int) -> "KickPlan":
+        """Sample the smoothstep-ramped loop traversal at the kick times t_i = i dt."""
         _check_time_and_count(total_time, num_intervals, "num_intervals")
-        lam = _arclength_interpolator(loop)
-        s = ramp(np.arange(num_intervals + 1) / num_intervals)
-        th, ph = lam(s)
+        s = smoothstep(np.arange(num_intervals + 1) / num_intervals)
+        th, ph = _arclength_interpolator(loop)(s)
         return cls(loop.n, total_time / num_intervals, th, ph)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .holonomy import UnitaryMatrix, holonomy
+from .holonomy import UnitaryMatrix, check_segment_budget, holonomy
 from .loops import FAMILIES, LoopPath, PlaneTag, _bulk_point, json_int, rectangle_loop
 
 MAX_RECT_AREA = {"C1": 1.5 * np.pi, "C2": 1.5 * np.pi, "C3": np.pi / 2, "C4": np.pi / 2}
@@ -144,14 +144,36 @@ def realize_step_as_loop(step: GateStep, n: int) -> LoopPath:
                           clockwise=target < 0, family=step.family)
 
 
-def split_step(step: GateStep) -> list[GateStep]:
-    """Split an over-capacity step into equal-area steps within capacity."""
+def _split_parts(step: GateStep) -> float:
+    """How many parts split_step cuts the step into, as a float (it may be huge)."""
     cap = MAX_RECT_AREA[step.family]
     if abs(step.area) <= cap:
+        return 1.0
+    return float(np.ceil(abs(step.area) / cap - 1e-12))
+
+
+def split_step(step: GateStep) -> list[GateStep]:
+    """Split an over-capacity step into equal-area steps within capacity."""
+    parts = int(_split_parts(step))
+    if parts == 1:
         return [step]
-    parts = int(np.ceil(abs(step.area) / cap - 1e-12))
     each = step.area / parts
     return [GateStep(step.family, step.beta, step.beta_bar, each) for _ in range(parts)]
+
+
+def _schedule_edges(program: GateProgram) -> float:
+    """Edge count of program_schedule's loop, computed without building it.
+
+    Each part of a step adds its rectangle's four edges (none at zero area)
+    and, if the step freezes a coordinate (C2, C4), the legs from the origin
+    to its base point and back; every other vertex it pushes repeats the one
+    before. An empty or all-zero loop has the two edges of its 3 vertices.
+    """
+    edges = 0.0
+    for step in program.steps:
+        rect = 0.0 if abs(step.area) < _ZERO_AREA else 4.0  # a split part is never zero
+        edges += _split_parts(step) * (rect + 2.0 * bool(step.frozen_coords()))
+    return max(edges, 2.0)
 
 
 @dataclass(frozen=True)
@@ -201,8 +223,13 @@ def program_schedule(program: GateProgram) -> LoopPath:
     legs origin -> base -> origin move that coordinate alone at zero theta
     elsewhere, so they transport nothing: the composite loop's holonomy (and
     its adiabatic transport) is the program product.
+
+    The loop's edge count is checked against holonomy.MAX_SEGMENT_ENTRIES at
+    one segment per edge before any part is built, so a huge area is a
+    ValueError at once.
     """
     n = program.n
+    check_segment_budget(_schedule_edges(program), 1, n)
     origin = np.zeros(n)
     ths, phs = [origin], [origin]
 

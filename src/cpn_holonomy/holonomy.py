@@ -150,12 +150,11 @@ def _segment_generators(loop: LoopPath, segments_per_edge: int
     return live, levels, -block
 
 
-def check_segment_budget(loop: LoopPath, segments_per_edge: int):
-    """ValueError if integrating the loop at this count exceeds MAX_SEGMENT_ENTRIES."""
-    edges = loop.num_vertices - 1
-    if edges * segments_per_edge * loop.n ** 2 > MAX_SEGMENT_ENTRIES:
-        raise ValueError(f"{edges} edges x {segments_per_edge} segments per edge at n = "
-                         f"{loop.n} exceed the budget of {MAX_SEGMENT_ENTRIES} "
+def check_segment_budget(edges: float, segments_per_edge: int, n: int):
+    """ValueError if integrating this many edges at this count exceeds MAX_SEGMENT_ENTRIES."""
+    if edges * segments_per_edge * n ** 2 > MAX_SEGMENT_ENTRIES:
+        raise ValueError(f"{edges:.6g} edges x {segments_per_edge} segments per edge at n = "
+                         f"{n} exceed the budget of {MAX_SEGMENT_ENTRIES} "
                          "segment-factor entries")
 
 
@@ -167,7 +166,7 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     """
     if segments_per_edge < 1:
         raise ValueError("segments_per_edge must be >= 1")
-    check_segment_budget(loop, segments_per_edge)
+    check_segment_budget(loop.num_vertices - 1, segments_per_edge, loop.n)
     u = np.eye(loop.n, dtype=complex)
     if not loop.is_degenerate():
         live, levels, gens = _segment_generators(loop, segments_per_edge)

@@ -3,8 +3,7 @@
 The register state space is (C^2)^{tensor n_qubits} tensor C^2, the last
 factor being an ancilla that selects the code sector and is never touched by
 embedded gates. A 4x4 gate acting on qubit pair (i, j) is applied factor-wise
-on the state tensor (no 4^(n+1)-sized matrices are materialized); dense
-matrices are only built for small registers as a cross-check oracle.
+on the state tensor (no 4^(n+1)-sized matrices are materialized).
 
 Cost reports compare the two encodings of a k-qubit algorithm:
 - local: each two-qubit gate costs a fixed number of primitive loops
@@ -87,23 +86,6 @@ class EmbeddedGate:
         t = np.asarray(state, dtype=complex).reshape((2,) * (self.reg.n_qubits + 1))
         return _apply_on_pair(self.matrix4, t, self.i, self.j).reshape(-1)
 
-    def dense(self) -> np.ndarray:
-        """Full register matrix via Kronecker products (small registers only)."""
-        nq = self.reg.n_qubits
-        if nq > 4:
-            raise ValueError("dense embedding is limited to n_qubits <= 4")
-        dim = 2 ** nq * 2
-        out = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[col] = 1.0
-            out[:, col] = self.apply(e)
-        return out
-
-
-def embed_local_gate(reg: Register, i: int, j: int, g: np.ndarray) -> EmbeddedGate:
-    return EmbeddedGate(reg, i, j, g)
-
 
 def _gate_matrix(gate) -> np.ndarray:
     if isinstance(gate, str):
@@ -115,7 +97,7 @@ def apply_circuit(reg: Register, circuit: list[tuple[tuple[int, int], object]],
                   state: np.ndarray) -> np.ndarray:
     """Run [( (i, j), gate ), ...] on a state; gate is a name or a 4x4 matrix."""
     for (i, j), gate in circuit:
-        state = embed_local_gate(reg, i, j, _gate_matrix(gate)).apply(state)
+        state = EmbeddedGate(reg, i, j, _gate_matrix(gate)).apply(state)
     return state
 
 

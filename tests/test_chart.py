@@ -5,6 +5,7 @@ import pytest
 from chart_oracle import eigenstate, hamiltonian_at
 from cpn_holonomy import ControlPoint, HamiltonianFamily, frame_unitary
 from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
+from helpers import origin
 
 
 def random_point(rng, n, margin=0.0):
@@ -15,7 +16,7 @@ def random_point(rng, n, margin=0.0):
 
 def test_frame_origin_is_identity():
     for n in (1, 2, 3, 4):
-        u = frame_unitary(ControlPoint.origin(n))
+        u = frame_unitary(origin(n))
         assert np.max(np.abs(u - np.eye(n + 1))) == 0.0
 
 
@@ -34,7 +35,7 @@ def test_frame_unitarity_random():
 
 
 def test_eigenstate_origin_is_basis():
-    p = ControlPoint.origin(3)
+    p = origin(3)
     for alpha in range(1, 5):
         e = np.zeros(4)
         e[alpha - 1] = 1
@@ -70,7 +71,7 @@ def test_column_consistency_between_routes():
 
 
 def test_eigenstate_index_errors():
-    p = ControlPoint.origin(2)
+    p = origin(2)
     with pytest.raises(IndexError):
         eigenstate(p, 0)
     with pytest.raises(IndexError):
@@ -79,7 +80,7 @@ def test_eigenstate_index_errors():
 
 def test_hamiltonian_at_origin():
     f = HamiltonianFamily(3, epsilon0=2.5)
-    h = hamiltonian_at(f, ControlPoint.origin(3))
+    h = hamiltonian_at(f, origin(3))
     expect = np.zeros((4, 4))
     expect[3, 3] = 2.5
     assert np.max(np.abs(h - expect)) == 0.0
@@ -141,8 +142,10 @@ def test_frame_smoothness_second_order():
         for idx in (1, 3):
             diffs = []
             for h in (2e-3, 1e-3, 5e-4):
-                hi = p.replace(**{f"{kind}{idx}": (p.theta if kind == "theta" else p.phi)[idx - 1] + h})
-                lo = p.replace(**{f"{kind}{idx}": (p.theta if kind == "theta" else p.phi)[idx - 1] - h})
+                d = h * np.eye(3)[idx - 1]
+                dth, dph = (d, 0.0) if kind == "theta" else (0.0, d)
+                hi = ControlPoint(3, p.theta + dth, p.phi + dph)
+                lo = ControlPoint(3, p.theta - dth, p.phi - dph)
                 diffs.append((frame_unitary(hi) - frame_unitary(lo)) / (2 * h))
             r = (np.max(np.abs(diffs[0] - diffs[1]))
                  / np.max(np.abs(diffs[1] - diffs[2])))

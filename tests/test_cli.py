@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cpn_holonomy import GateStep, realize_step_as_loop, two_qubit_gate
+from cpn_holonomy import (GateStep, PlaneTag, holonomy, program_schedule,
+                          realize_step_as_loop, two_qubit_gate)
 from cpn_holonomy.cli import build_parser, dump_json, main, parse_angle
+from cpn_holonomy.linalg import max_abs_diff
+from helpers import circle_loop
 
 
 def run_cli(args, capsys):
@@ -56,7 +59,7 @@ def test_parse_angle_rejects_garbage():
     (["gate", "--name", "uph1", "--segments", "4"], "--sigma3", "-0.25"),
     (["connection", "--theta", "0.1,0.2"], "--phi", "-0.5,0.3"),
     (["connection"], "--theta", "-0.5,0.3"),  # out of the chart: exit 2 both ways
-    (["verify", "--name", "crot"], "--time", "-pi"),  # Schedule rejects it: exit 2
+    (["verify", "--name", "crot"], "--time", "-pi"),  # adiabatic_transport rejects it: exit 2
     (["kick", "--name", "xor", "--n-list", "10", "--ref-steps", "16"], "--time", "-1e-05"),
     # abbreviated option names, which argparse accepts for the full ones
     (["connection", "--theta", "0.1,0.2"], "--ph", "-0.5,0.3"),
@@ -136,6 +139,7 @@ BAD_FILES = {
     "boolean_pair": [{"pair": [True, 2], "gate": "XOR"}],
     "fractional_n_point": {"n": 1.5, "theta": [0.1], "phi": [0.0]},
     "c2_same_index_program": {"n": 2, "steps": [dict(C1_STEP, family="C2", beta_bar=1)]},
+    "huge_area_program": {"n": 4, "steps": [dict(C1_STEP, area=1e300)]},
 }
 
 
@@ -187,6 +191,9 @@ BAD_FILES = {
     # the sweep checks its last, doubled count before its first case
     ["holonomy", "--loop", "{loop}", "--segments", "100000000000000"],
     ["sweep", "--kind", "segments", "--loop", "{loop}", "--segments", "1", "--cases", "70"],
+    # a program's composite loop is counted against the budget before it is built
+    ["gate", "--name", "uph1", "--sigma1", "1e300"],
+    ["verify", "--program", "{huge_area_program}", "--time", "1"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(
@@ -265,6 +272,29 @@ def test_verify_report_schema(tmp_path, capsys):
         assert key in d
     assert d["distance_to_holonomy"] < 5e-2
     assert d["within_tol"]
+
+
+@pytest.mark.parametrize("source", ["loop", "name", "program"])
+def test_verify_distance_to_holonomy_segments(source, tmp_path, capsys):
+    # a loop file's own segments_per_edge, one segment per edge on a program's loop
+    circle = circle_loop(1, PlaneTag(("theta:1", "phi:1")), (0.7, 1.0), 0.3, num_vertices=6)
+    prog = two_qubit_gate("CROT")
+    path = tmp_path / "input.json"
+    if source == "loop":
+        path.write_text(json.dumps(circle.to_json_dict(segments_per_edge=3)))
+        loop, segs = circle, 3
+    else:
+        path.write_text(json.dumps(prog.to_json_dict()))
+        loop, segs = program_schedule(prog), 1
+    value = str(path) if source != "name" else "crot"
+    code, out = run_cli(["verify", f"--{source}", value, "--time", "1000"], capsys)
+    assert code == 0
+    d = json.loads(out)
+    transport = np.array(d["transport"])
+    transport = transport[..., 0] + 1j * transport[..., 1]
+    assert d["distance_to_holonomy"] == max_abs_diff(transport, holonomy(loop, segs).matrix)
+    if source == "loop":  # the count matters on this loop
+        assert d["distance_to_holonomy"] != max_abs_diff(transport, holonomy(loop, 1).matrix)
 
 
 def test_verify_zero_time_exits_2(capsys):
@@ -412,6 +442,10 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     ["sweep", "--loop", "{loop}"],
     ["sweep", "--kind", "segments", "--family", "C1", "--loop", "{loop}"],
     ["sweep", "--kind", "segments"],
+    # an option given twice, also through a prefix of its name ("--n" is --name)
+    ["gate", "--n", "4", "--name", "xor"],
+    ["verify", "--name", "crot", "--time", "250", "--time", "500", "--steps", "10"],
+    ["holonomy", "--loop", "{loop}", "--loop", "{loop}"],
 ])
 def test_unread_or_conflicting_options_exit_2(argv, tmp_path, capsys):
     files = {name: tmp_path / f"{name}.json" for name in ("loop", "circ", "program", "point")}
@@ -576,7 +610,6 @@ def test_sweep_seed_changes_output(capsys):
 
 def test_sweep_segments_convergence(tmp_path, capsys):
     # a curved loop shows the second-order segment convergence in the table
-    from cpn_holonomy import PlaneTag, circle_loop
     loop = circle_loop(1, PlaneTag(("theta:1", "phi:1")), (0.7, 1.0), 0.3,
                        num_vertices=64, clockwise=True, family="C1")
     path = tmp_path / "circle.json"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpn_holonomy import (ControlPoint, DiscretizationError, connection_along,
-                          connection_analytic, connection_numeric)
+from connection_oracle import DiscretizationError, connection_numeric, max_antihermiticity_defect
+from cpn_holonomy import ControlPoint, connection_along, connection_analytic
+from helpers import origin
 
 
 # ---------- per-entry closed forms: the oracle for connection_along ----------
@@ -93,7 +94,7 @@ def max_component_diff(a, b):
 
 def test_origin_all_components_zero():
     for n in (1, 2, 4):
-        val = connection_analytic(ControlPoint.origin(n))
+        val = connection_analytic(origin(n))
         assert np.max(np.abs(val.a_theta)) == 0.0
         assert np.max(np.abs(val.a_phi)) == 0.0
 
@@ -109,7 +110,7 @@ def test_c2_plane_diagonal_values():
     # n=2, plane (theta_1, phi_2) with theta_2 = pi/2: a_phi[2] diag = (i sin^2 t1, -i)
     t1 = 0.7
     val = connection_analytic(ControlPoint(2, [t1, np.pi / 2], [0.3, 0.9]))
-    m = val.component("phi", 2)
+    m = val.a_phi[1]
     assert abs(m[0, 0] - 1j * np.sin(t1) ** 2) < 1e-14
     assert abs(m[1, 1] - (-1j)) < 1e-14
     assert abs(m[0, 1]) < 1e-14  # off-diagonal carries cos(theta_2) = 0
@@ -120,8 +121,8 @@ def test_antihermiticity():
     for n in (1, 2, 4):
         for _ in range(20):
             p = random_interior(rng, n)
-            assert connection_analytic(p).max_antihermiticity_defect() < 1e-10
-            assert connection_numeric(p, 1e-5).max_antihermiticity_defect() < 1e-6
+            assert max_antihermiticity_defect(connection_analytic(p)) < 1e-10
+            assert max_antihermiticity_defect(connection_numeric(p, 1e-5)) < 1e-6
 
 
 def test_theta_component_exact_sparsity():
@@ -131,7 +132,7 @@ def test_theta_component_exact_sparsity():
     p = random_interior(rng, n)
     val = connection_analytic(p)
     for b in range(1, n + 1):
-        m = val.component("theta", b)
+        m = val.a_theta[b - 1]
         mask = np.zeros((n, n), dtype=bool)
         mask[: b - 1, b - 1] = True
         mask[b - 1, : b - 1] = True
@@ -147,7 +148,7 @@ def test_phi_component_block_support():
     p = random_interior(rng, n)
     val = connection_analytic(p)
     for b in range(1, n + 1):
-        m = val.component("phi", b)
+        m = val.a_phi[b - 1]
         assert np.all(m[b:, :] == 0.0)
         assert np.all(m[:, b:] == 0.0)
 
@@ -211,8 +212,8 @@ def test_c2_plane_theta_component_vanishes_and_commutes(beta, beta_bar):
         ph = np.zeros(n)
         ph[beta_bar - 1] = rng.uniform(0, 2 * np.pi)
         val = connection_analytic(ControlPoint(n, th, ph))
-        a_t = val.component("theta", beta)
-        a_p = val.component("phi", beta_bar)
+        a_t = val.a_theta[beta - 1]
+        a_p = val.a_phi[beta_bar - 1]
         assert np.all(a_t == 0.0)  # identically zero on the configured plane
         comm = a_t @ a_p - a_p @ a_t
         assert np.max(np.abs(comm)) < 1e-12
@@ -224,7 +225,7 @@ def test_c1_plane_theta_component_vanishes():
         th = np.zeros(n)
         th[beta - 1] = 0.9
         val = connection_analytic(ControlPoint(n, th, np.zeros(n)))
-        assert np.all(val.component("theta", beta) == 0.0)
+        assert np.all(val.a_theta[beta - 1] == 0.0)
 
 
 def test_json_dump_shape():
@@ -265,9 +266,9 @@ def test_along_matches_per_entry_forms_random(n):
     val = connection_analytic(p)
     for b in range(1, n + 1):
         worst = max(worst,
-                    float(np.max(np.abs(val.component("theta", b)
+                    float(np.max(np.abs(val.a_theta[b - 1]
                                         - theta_component_batch(p.theta, p.phi, b)))),
-                    float(np.max(np.abs(val.component("phi", b)
+                    float(np.max(np.abs(val.a_phi[b - 1]
                                         - phi_component_batch(p.theta, p.phi, b)))))
     assert worst <= 1e-14
 

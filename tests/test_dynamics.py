@@ -1,4 +1,7 @@
 """Dynamical verifiers: adiabatic transport and the kick scheme."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +11,10 @@ from scipy.stats import unitary_group
 
 from chart_oracle import hamiltonian_at
 from cpn_holonomy import (ControlPoint, GateProgram, GateStep, HamiltonianFamily, KickPlan,
-                          LoopPath, Schedule, adiabatic_transport, compile_unitary, holonomy,
+                          LoopPath, adiabatic_transport, compile_unitary, holonomy,
                           kick_evolution, primitive_holonomy, program_schedule,
                           propagate_frames, realize_step_as_loop, two_qubit_gate)
+from cpn_holonomy import dynamics
 from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
 from cpn_holonomy.dynamics import MAX_STEPS, _arclength_interpolator, smoothstep
 from cpn_holonomy.gates import split_step
@@ -23,11 +27,28 @@ def c1_loop(n=1, area=np.pi / 4):
     return realize_step_as_loop(GateStep("C1", 1, None, area), n)
 
 
+def test_oracle_never_reaches_the_integrator():
+    # the Schrodinger oracle stays an independent check of the loop integrator:
+    # nothing from the connection or the gate compilers, and not holonomy()
+    tree = ast.parse(Path(dynamics.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("cpn_holonomy." * (node.level > 0) + (node.module or "")).rstrip(".")
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            module, names = "", [alias.name for alias in node.names]
+        else:
+            continue
+        for name in [module, *(f"{module}.{n}" for n in names)]:
+            assert not name.startswith(("cpn_holonomy.connection", "cpn_holonomy.gates")), name
+        assert "holonomy" not in names
+
+
 def test_degenerate_loop_transport_is_identity():
     fam = HamiltonianFamily(2)
     pts = np.full((3, 2), 0.4)
     loop = LoopPath(2, pts, pts * 0.0)
-    tr, diag = adiabatic_transport(fam, Schedule(loop, 5.0, steps=50))
+    tr, diag = adiabatic_transport(fam, loop, 5.0, steps=50)
     # code sits at eigenvalue zero: stationary up to stepper roundoff
     assert tr.distance(np.eye(2)) < 1e-12
     assert np.max(diag.leakage) < 1e-12
@@ -36,10 +57,10 @@ def test_degenerate_loop_transport_is_identity():
 def test_c1_transport_matches_closed_form_default_budget():
     fam = HamiltonianFamily(1)
     loop = c1_loop()
-    tr, diag = adiabatic_transport(fam, Schedule(loop, 2000.0))
+    tr, diag = adiabatic_transport(fam, loop, 2000.0)
     assert abs(tr.matrix[0, 0] - np.exp(-1j * np.pi / 4)) < 1e-2
     assert np.max(diag.leakage) < 1e-3
-    assert diag.distance_to_holonomy < 1e-2
+    assert tr.distance(holonomy(loop, 64)) < 1e-2
     assert diag.steps >= 40000  # eps0 * dt <= 0.05 enforced
 
 
@@ -49,7 +70,7 @@ def test_adiabatic_error_decreases_with_time():
     expect = holonomy(loop, 64).matrix
     errs = {}
     for total in (200.0, 2000.0):
-        tr, _ = adiabatic_transport(fam, Schedule(loop, total), compare_holonomy=False)
+        tr, _ = adiabatic_transport(fam, loop, total)
         errs[total] = max_abs_diff(tr.matrix, expect)
     assert errs[2000.0] < errs[200.0] / 2
 
@@ -64,8 +85,8 @@ def test_oracle_agreement_every_family(step):
     n = 2
     fam = HamiltonianFamily(n)
     loop = realize_step_as_loop(step, n)
-    tr, diag = adiabatic_transport(fam, Schedule(loop, 2000.0))
-    assert diag.distance_to_holonomy < 5e-2
+    tr, _ = adiabatic_transport(fam, loop, 2000.0)
+    assert tr.distance(holonomy(loop, 64)) < 5e-2
     assert tr.distance(primitive_holonomy(step, n).matrix) < 5e-2
 
 
@@ -73,7 +94,7 @@ def test_oracle_agreement_nonabelian_composite():
     # a rotation loop followed by a phase loop: the two sub-holonomies do not
     # commute, so this pins the path-ordering direction end to end, not just
     # the per-family signs
-    from cpn_holonomy import concatenate
+    from helpers import concatenate
     n = 2
     rot = GateStep("C3", 1, 2, 0.6)
     phase = GateStep("C1", 1, None, 0.8)
@@ -84,8 +105,8 @@ def test_oracle_agreement_nonabelian_composite():
     assert max_abs_diff(engine, ordered) < 1e-8
     assert max_abs_diff(ordered, swapped) > 0.3  # the ordering genuinely matters
     fam = HamiltonianFamily(n)
-    tr, diag = adiabatic_transport(fam, Schedule(loop, 4000.0))
-    assert diag.distance_to_holonomy < 5e-2
+    tr, _ = adiabatic_transport(fam, loop, 4000.0)
+    assert tr.distance(holonomy(loop, 64)) < 5e-2
     assert tr.distance(ordered) < 5e-2
     assert tr.distance(swapped) > 0.25
 
@@ -95,8 +116,8 @@ def test_oracle_agreement_crot_program():
     prog = two_qubit_gate("CROT")
     loop = program_schedule(prog)
     fam = HamiltonianFamily(4)
-    tr, diag = adiabatic_transport(fam, Schedule(loop, 2000.0 * len(prog.steps)))
-    assert diag.distance_to_holonomy < 5e-2
+    tr, diag = adiabatic_transport(fam, loop, 2000.0 * len(prog.steps))
+    assert tr.distance(holonomy(loop, 64)) < 5e-2
     assert tr.distance(prog.evaluate().matrix) < 5e-2
     assert np.max(diag.leakage) < 1e-3
 
@@ -256,26 +277,30 @@ def test_propagate_frames_validation(total, steps):
 def test_transport_leakage_warning():
     fam = HamiltonianFamily(1)
     with pytest.warns(UserWarning, match="non-adiabatic"):
-        adiabatic_transport(fam, Schedule(c1_loop(), 3.0, steps=60), compare_holonomy=False)
+        adiabatic_transport(fam, c1_loop(), 3.0, steps=60)
 
 
-def test_schedule_validation():
+def test_schedule_validation(monkeypatch):
+    # bad times and step counts are ValueErrors raised before any sampling
+    def no_sampling(*args):
+        raise AssertionError("propagated before the inputs were checked")
+
+    monkeypatch.setattr(dynamics, "propagate_frames", no_sampling)
     loop = c1_loop()
+    fam = HamiltonianFamily(1)
     with pytest.raises(ValueError):
-        Schedule(loop, 0.0)
-    with pytest.raises(ValueError):
-        Schedule(loop, 10.0, steps=0)
+        adiabatic_transport(fam, loop, 0.0)
+    with pytest.raises(ValueError, match="steps must be >= 1"):
+        adiabatic_transport(fam, loop, 10.0, steps=0)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            Schedule(loop, bad)
-    with pytest.raises(ValueError):
-        Schedule(loop, 10.0, ramp=lambda x: x + 1.0)
+            adiabatic_transport(fam, loop, bad)
     with pytest.raises(ValueError, match="steps must be <="):
-        Schedule(loop, 10.0, steps=10 ** 14)
-    # the count that eps0 * dt <= MAX_EPS_DT asks for is checked before sampling
+        adiabatic_transport(fam, loop, 10.0, steps=10 ** 14)
+    # the count that eps0 * dt <= MAX_EPS_DT asks for is checked too
     for total, eps0 in ((1e300, 1.0), (1e300, 1e300)):
         with pytest.raises(ValueError, match="steps must be <="):
-            adiabatic_transport(HamiltonianFamily(1, eps0), Schedule(loop, total, steps=10))
+            adiabatic_transport(HamiltonianFamily(1, eps0), loop, total, steps=10)
 
 
 # ---------- kick scheme ----------

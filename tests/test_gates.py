@@ -6,8 +6,9 @@ import pytest
 
 from cpn_holonomy import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                           compile_unitary, enclosed_area, holonomy, named_gate_matrix,
-                          primitive_holonomy, realize_step_as_loop, single_qubit_block,
-                          two_qubit_gate)
+                          primitive_holonomy, program_schedule, realize_step_as_loop,
+                          single_qubit_block, two_qubit_gate)
+from cpn_holonomy import gates
 from cpn_holonomy.gates import embed_two_level, givens_decompose
 from cpn_holonomy.linalg import dist_up_to_phase, unitarity_defect
 
@@ -133,6 +134,33 @@ def test_split_step_respects_capacity():
     expect = primitive_holonomy(GateStep("C3", 1, 2, np.pi), 2).matrix
     got = prog.evaluate_integrated(64)
     assert got.distance(expect) < 1e-7
+
+
+def test_program_schedule_counts_its_edges_before_building(monkeypatch):
+    # the edge count checked against the segment budget is the built loop's
+    rng = np.random.default_rng(17)
+    programs = [two_qubit_gate(name, sigma1=0.4, sigma3=2.9) for name in
+                ("XOR", "CROT", "SWAP", "PHASE1", "PHASE2", "UPH1")]
+    programs += [compile_unitary(random_unitary(rng, n), n) for n in (2, 3, 5)]
+    programs += [GateProgram(3, ()), GateProgram(3, (GateStep("C1", 2, None, 0.0),)),
+                 GateProgram(3, (GateStep("C2", 1, 3, 0.0), GateStep("C4", 3, 1, 0.0))),
+                 GateProgram(3, (GateStep("C3", 1, 2, 7.0), GateStep("C2", 2, 3, -9.5),
+                                 GateStep("C4", 3, 2, 1e-15),
+                                 GateStep("C1", 3, None, 1.5 * np.pi)))]
+    for prog in programs:
+        assert gates._schedule_edges(prog) == program_schedule(prog).num_vertices - 1
+    # a huge area fails the budget before any part is split off or built
+    def no_parts(*args):
+        raise AssertionError("built a part of an over-budget program")
+
+    monkeypatch.setattr(gates, "split_step", no_parts)
+    monkeypatch.setattr(gates, "realize_step_as_loop", no_parts)
+    for area in (1e300, -1e300, 3e5):
+        huge = GateProgram(4, (GateStep("C2", 1, 2, area),))
+        with pytest.raises(ValueError, match="exceed the budget"):
+            program_schedule(huge)
+        with pytest.raises(ValueError, match="exceed the budget"):
+            huge.evaluate_integrated()
 
 
 # ---------- single-block compiler ----------

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cpn_holonomy import (GateStep, LoopPath, PlaneTag, UnitarityError, UnitaryMatrix,
-                          circle_loop, concatenate, enclosed_area, holonomy,
-                          l_shape_loop, loop_from_plane_vertices, primitive_holonomy,
-                          program_schedule, realize_step_as_loop, rectangle_loop, reverse,
-                          two_qubit_gate)
+                          enclosed_area, holonomy, loop_from_plane_vertices,
+                          primitive_holonomy, program_schedule, realize_step_as_loop,
+                          rectangle_loop, two_qubit_gate)
 from cpn_holonomy.connection import connection_along
 from cpn_holonomy.holonomy import _silent_edges
+from helpers import circle_loop, concatenate, l_shape_loop, reverse
 from test_connection import oracle_along  # per-entry closed forms of the connection
 
 C1_PLANE = PlaneTag(("theta:1", "phi:1"))

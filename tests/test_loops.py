@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpn_holonomy import (LoopPath, PlaneTag, circle_loop, concatenate, enclosed_area,
-                          l_shape_loop, loop_from_plane_vertices, rectangle_loop, reverse)
+from cpn_holonomy import (LoopPath, PlaneTag, enclosed_area, loop_from_plane_vertices,
+                          rectangle_loop)
+from helpers import circle_loop, concatenate, l_shape_loop, reverse
 
 C1_PLANE = PlaneTag(("theta:1", "phi:1"))
 

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from cpn_holonomy import (Register, apply_circuit, embed_local_gate, gate_count,
-                          named_gate_matrix)
+from cpn_holonomy import EmbeddedGate, Register, apply_circuit, gate_count, named_gate_matrix
+from helpers import dense
 
 
 def kron_embed(g4, i, j, n_qubits):
@@ -36,13 +36,13 @@ def kron_embed(g4, i, j, n_qubits):
 
 def test_identity_embeds_to_identity():
     reg = Register(3)
-    g = embed_local_gate(reg, 1, 2, np.eye(4))
-    assert np.max(np.abs(g.dense() - np.eye(reg.dim))) == 0.0
+    g = EmbeddedGate(reg, 1, 2, np.eye(4))
+    assert np.max(np.abs(dense(g) - np.eye(reg.dim))) == 0.0
 
 
 def test_xor_on_pair_flips_target():
     reg = Register(2)
-    g = embed_local_gate(reg, 1, 2, named_gate_matrix("XOR"))
+    g = EmbeddedGate(reg, 1, 2, named_gate_matrix("XOR"))
     out = g.apply(reg.basis_state("10"))
     assert np.max(np.abs(out - reg.basis_state("11"))) == 0.0
 
@@ -53,7 +53,7 @@ def test_embedding_matches_kronecker_oracle_n3():
     z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(z)
     for (i, j) in ((1, 3), (2, 3), (1, 2)):
-        g = embed_local_gate(reg, i, j, q)
+        g = EmbeddedGate(reg, i, j, q)
         oracle = kron_embed(q, i, j, 3)
         dim = reg.dim
         for col in range(dim):
@@ -67,8 +67,8 @@ def test_disjoint_pairs_commute_exactly():
     rng = np.random.default_rng(223)
     q1, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     q2, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    a = embed_local_gate(reg, 1, 2, q1)
-    b = embed_local_gate(reg, 3, 4, q2)
+    a = EmbeddedGate(reg, 1, 2, q1)
+    b = EmbeddedGate(reg, 3, 4, q2)
     state = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
     state /= np.linalg.norm(state)
     assert np.max(np.abs(a.apply(b.apply(state)) - b.apply(a.apply(state)))) < 1e-12
@@ -131,14 +131,14 @@ def test_register_validation():
     with pytest.raises(ValueError):
         reg.basis_state("0")
     with pytest.raises(ValueError):
-        embed_local_gate(reg, 1, 1, np.eye(4))
+        EmbeddedGate(reg, 1, 1, np.eye(4))
     with pytest.raises(ValueError):
-        embed_local_gate(reg, 1, 2, np.eye(4) * 2)
+        EmbeddedGate(reg, 1, 2, np.eye(4) * 2)
 
 
 def test_minus_sector_register():
     reg = Register(2, ancilla_sign=-1)
     s = reg.basis_state("01")
     assert reg.ancilla_minus_weight(s) == 1.0
-    out = embed_local_gate(reg, 1, 2, named_gate_matrix("XOR")).apply(s)
+    out = EmbeddedGate(reg, 1, 2, named_gate_matrix("XOR")).apply(s)
     assert reg.ancilla_minus_weight(out) == 1.0  # stays in its sector
