@@ -330,6 +330,7 @@ def cmd_sweep(args) -> str:
         n = 4 if args.n is None else args.n
         if n < (1 if args.family == "C1" else 2):
             raise ValueError("--n must be >= 2 for random-rects (>= 1 with --family C1)")
+        check_segment_budget(4 * args.cases, args.segments, n)  # four edges per rectangle
         for case in range(args.cases):
             family = args.family or str(rng.choice(FAMILIES))
             if family == "C1":

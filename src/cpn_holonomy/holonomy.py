@@ -13,16 +13,32 @@ conventions of loops.py it also reproduces the closed-form single-generator
 holonomies of all four loop families.
 
 The generators come from connection.connection_along, which returns them
-on the levels the loop touches: the levels whose coordinates move and the
-levels their prefix frames mix in. Every other generator entry is exactly
-zero, so the holonomy is exactly the identity there; only the touched block
-is exponentiated and multiplied, then embedded in the n x n identity. A loop
-that moves every coordinate touches all n levels.
+on the levels a batch of segments touches: the levels whose coordinates
+move and the levels their prefix frames mix in. Every other generator entry
+is exactly zero, so the holonomy is exactly the identity there; only the
+touched block is exponentiated and multiplied, then embedded in the n x n
+identity. A loop that moves every coordinate touches all n levels. Each
+family loop and primitive step touches at most two, and on k <= 2 levels
+the exponentials and the ordered product are closed forms evaluated
+elementwise over the segments (linalg); only k >= 3 goes through eigh and
+batched matmul.
+
+The segments are integrated in blocks of at most BLOCK_ENTRIES / k^2, in
+traversal order, so the arrays built at once stay near a fixed size
+whatever the segment count. Each block is exponentiated and multiplied on
+the levels it touches, which can be fewer than the loop's (a gate program's
+loop touches four levels, each of its steps two); the block products are
+embedded in the union of those levels and multiplied in time order.
+
+Levels that never move and have theta == 0 at every vertex are not passed
+to connection_along at all: they would add nothing to any generator, and it
+would drop them itself after building their segment midpoints.
 
 Edges on which every generator is exactly zero are dropped before any
 connection is evaluated (see _silent_edges): the connector legs of a gate
 program's loop, which set up and tear down its frozen coordinates, transport
-nothing, and they are most of its edges.
+nothing, and they are most of its edges. Their identity factors are left
+out of the product.
 
 Midpoint evaluation with one exact exponential per segment is second-order
 accurate in the segment length; every factor is unitary by construction, so
@@ -41,9 +57,12 @@ from .loops import LoopPath
 
 ACCEPT_DEFECT = 1e-9
 REJECT_DEFECT = 1e-6
-# most edges x segments per edge x n^2 one holonomy may take: it bounds the
-# segment factors (at most n x n each) and the arrays built alongside them
+# most edges x segments per edge x n^2 one holonomy may take; it bounds the
+# run time (memory is bounded by the blocks)
 MAX_SEGMENT_ENTRIES = 2 ** 22
+# segments x k^2 integrated as one block, k the levels that are not idle:
+# connection_along builds 100-200 bytes per entry, so a block stays below ~2 MB
+BLOCK_ENTRIES = 2 ** 13
 
 
 class UnitarityError(ValueError):
@@ -125,29 +144,20 @@ def _silent_edges(th: np.ndarray, ph: np.ndarray, segments_per_edge: int) -> np.
     return np.all(((d_ph == 0) | flat) & ((d_th == 0) | below), axis=1)
 
 
-def _segment_generators(loop: LoopPath, segments_per_edge: int
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Live edges, touched levels and transport generators -A(mid) . dlam.
+def _block_generators(th: np.ndarray, ph: np.ndarray, edge: np.ndarray, seg: np.ndarray,
+                      segments_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
+    """Touched columns and transport generators -A(mid) . dlam of one block.
 
-    live flags the edges that are not silent; the generators, one per
-    sub-segment of a live edge, are in traversal order. A silent edge's
-    generators are exactly zero and are not evaluated.
+    Segment i of the block is sub-segment seg[i] of the edge from vertex
+    edge[i] to edge[i] + 1 of the polyline (th, ph); the generators are in
+    that order.
     """
-    n = loop.n
-    th, ph = loop.thetas, loop.phis
-    live = ~_silent_edges(th, ph, segments_per_edge)
-    start = np.flatnonzero(live)
-    th0, th1, ph0, ph1 = th[start], th[start + 1], ph[start], ph[start + 1]
-    m = start.size
     s = segments_per_edge
-    frac = (np.arange(s) + 0.5) / s
-    # midpoints and deltas, edges x segments flattened in traversal order
-    mid_th = (th0[:, None, :] + (th1 - th0)[:, None, :] * frac[None, :, None]).reshape(m * s, n)
-    mid_ph = (ph0[:, None, :] + (ph1 - ph0)[:, None, :] * frac[None, :, None]).reshape(m * s, n)
-    d_th = np.repeat((th1 - th0) / s, s, axis=0)
-    d_ph = np.repeat((ph1 - ph0) / s, s, axis=0)
-    levels, block = connection_along(mid_th, mid_ph, d_th, d_ph)
-    return live, levels, -block
+    d_th, d_ph = th[edge + 1] - th[edge], ph[edge + 1] - ph[edge]
+    frac = ((seg + 0.5) / s)[:, None]
+    levels, block = connection_along(th[edge] + d_th * frac, ph[edge] + d_ph * frac,
+                                     d_th / s, d_ph / s)
+    return levels, -block
 
 
 def check_segment_budget(edges: float, segments_per_edge: int, n: int):
@@ -161,19 +171,35 @@ def check_segment_budget(edges: float, segments_per_edge: int, n: int):
 def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     """Loop holonomy on the n-dimensional code, by ordered segment exponentials.
 
-    The identity factors of silent edges stay in the product, so the
-    pairwise reduction pairs the same factors as if they had been evaluated.
+    The segments of the live edges go in blocks of at most BLOCK_ENTRIES /
+    k^2, k the levels left after dropping the idle ones (see the module
+    docstring).
     """
     if segments_per_edge < 1:
         raise ValueError("segments_per_edge must be >= 1")
     check_segment_budget(loop.num_vertices - 1, segments_per_edge, loop.n)
     u = np.eye(loop.n, dtype=complex)
-    if not loop.is_degenerate():
-        live, levels, gens = _segment_generators(loop, segments_per_edge)
-        if levels.size:  # else every edge is silent
-            k, s = levels.size, segments_per_edge
-            factors = np.empty((live.size, s, k, k), dtype=complex)
-            factors[~live] = np.eye(k)
-            factors[live] = linalg.expm_antihermitian(gens).reshape(-1, s, k, k)
-            u[levels[:, None], levels] = linalg.fold_left(factors.reshape(-1, k, k))
+    if loop.is_degenerate():
+        return UnitaryMatrix.from_raw(u)
+    s = segments_per_edge
+    edges = np.flatnonzero(~_silent_edges(loop.thetas, loop.phis, s))
+    # a level that never moves and has theta == 0 at every vertex enters no
+    # generator (connection_along drops it too), so its columns are left out
+    cols = np.flatnonzero(np.any(loop.thetas != 0, axis=0)
+                          | np.any(loop.phis != loop.phis[0], axis=0))
+    th, ph = loop.thetas[:, cols], loop.phis[:, cols]
+    per_block = max(1, BLOCK_ENTRIES // cols.size ** 2)
+    blocks = []  # (levels, ordered product on them), in time order
+    for first in range(0, edges.size * s, per_block):
+        j = np.arange(first, min(first + per_block, edges.size * s))
+        levels, gens = _block_generators(th, ph, edges[j // s], j % s, s)
+        if levels.size:
+            blocks.append((cols[levels], linalg.fold_left(linalg.expm_antihermitian(gens))))
+    if blocks:  # else every edge is silent
+        levels = np.unique(np.concatenate([lv for lv, _ in blocks]))
+        products = np.tile(np.eye(levels.size, dtype=complex), (len(blocks), 1, 1))
+        for product, (lv, p) in zip(products, blocks):
+            at = np.searchsorted(levels, lv)
+            product[at[:, None], at] = p
+        u[levels[:, None], levels] = linalg.fold_left(products)
     return UnitaryMatrix.from_raw(u)

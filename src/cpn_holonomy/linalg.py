@@ -1,11 +1,14 @@
 """Small dense-linear-algebra helpers shared across the package.
 
-Exponentials of the loop integrator's anti-hermitian generators go through
-an exact eigendecomposition (unitary up to eigensolver roundoff, which the
-holonomy code relies on); the propagators need none, their rank-1 steps are
-exact in closed form (see dynamics) and accumulate in place, chunk by chunk.
-Ordered products reduce pairwise. Batched inputs use a leading batch axis
-everywhere, except inside rank1_product.
+Exponentials of the loop integrator's anti-hermitian generators are exact:
+in closed form at k <= 2 (every family loop touches at most two levels, so
+its generators lie in u(2)), through an eigendecomposition above. Both are
+unitary up to roundoff, which the holonomy code relies on. The propagators
+need none; their rank-1 steps are exact in closed form (see dynamics) and
+accumulate in place, chunk by chunk. Ordered products reduce pairwise, as
+sums of elementwise outer products at k <= 2 and batched matmuls above.
+Batched inputs use a leading batch axis everywhere, except inside
+rank1_product.
 """
 from __future__ import annotations
 
@@ -29,31 +32,77 @@ def polar_project(m: np.ndarray) -> np.ndarray:
 def expm_antihermitian(g: np.ndarray) -> np.ndarray:
     """exp(G) for anti-hermitian G (batched on leading axes).
 
-    iG is hermitian, so exp(G) = V diag(exp(-i w)) V† with (w, V) = eigh(iG).
-    Exact and unitary by construction; accurate to ~1e-15 for the small
-    dimensions used here.
+    iG = H is hermitian. At k = 1, exp(G) = exp(i Im G). At k = 2, write
+    H = a0 I + [[a3, b], [conj(b), -a3]] with r = sqrt(a3^2 + |b|^2); then
+    exp(G) = e^{-i a0} [[c - i s a3, -i s b], [-i s conj(b), c + i s a3]]
+    with c = cos r and s = sin(r) / r (exactly 1 at r = 0). Above k = 2,
+    exp(G) = V diag(exp(-i w)) V† with (w, V) = eigh(H). Every route reads
+    only the real diagonal and the lower triangle of H, as eigh does; each is
+    exact and unitary by construction, accurate to ~1e-15 here.
     """
+    k = g.shape[-1]
+    if k == 1:
+        return np.exp(1j * g.imag)
+    if k == 2:
+        return _expm_u2(g)
     w, v = np.linalg.eigh(1j * g)
     phase = np.exp(-1j * w)
     return np.einsum("...ij,...j,...kj->...ik", v, phase, v.conj())
+
+
+def _expm_u2(g: np.ndarray) -> np.ndarray:
+    """The k = 2 closed form of expm_antihermitian, elementwise over the batch.
+
+    The SU(2) factor is written by its real and imaginary parts, one rounding
+    each, and then multiplied by the phase.
+    """
+    h00, h11 = -g[..., 0, 0].imag, -g[..., 1, 1].imag  # Re of the diagonal of H = iG
+    b = (1j * g[..., 1, 0]).conjugate()  # H01 as eigh reads it, from the lower entry
+    a0, a3 = (h00 + h11) / 2, (h00 - h11) / 2
+    r = np.hypot(a3, np.abs(b))
+    s = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+    c, sa3, sb_re, sb_im = np.cos(r), s * a3, s * b.real, s * b.imag
+    out = np.empty(g.shape, dtype=complex)
+    re, im = out.real, out.imag
+    re[..., 0, 0], im[..., 0, 0] = c, -sa3
+    re[..., 1, 1], im[..., 1, 1] = c, sa3
+    re[..., 0, 1], im[..., 0, 1] = sb_im, -sb_re  # -i s b
+    re[..., 1, 0], im[..., 1, 0] = -sb_im, -sb_re  # -i s conj(b)
+    out *= np.exp(-1j * a0)[..., None, None]
+    return out
 
 
 def fold_left(factors: np.ndarray) -> np.ndarray:
     """Ordered product factors[-1] @ ... @ factors[0] (later factors on the left).
 
     Pairwise batched reduction: each pass multiplies neighbours (2k+1, 2k),
-    so the work runs in log2(M) batched matmuls instead of M - 1 Python-level
+    so the work runs in log2(M) batched products instead of M - 1 Python-level
     ones; an odd last factor is folded onto the last pair, keeping the order.
     """
     if factors.shape[0] == 0:
         raise ValueError("fold_left needs at least one factor")
     out = factors
     while out.shape[0] > 1:
-        pairs = out[1::2] @ out[0:-1:2]
+        pairs = _matmul(out[1::2], out[0:-1:2])
         if out.shape[0] % 2:
-            pairs[-1] = out[-1] @ pairs[-1]
+            pairs[-1] = _matmul(out[-1], pairs[-1])
         out = pairs
     return out[0]
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b; at k <= 2 as a sum of outer products over the inner index.
+
+    Elementwise over the batch, which for 1 x 1 and 2 x 2 factors is several
+    times faster than a batched matmul.
+    """
+    k = a.shape[-1]
+    if k > 2:
+        return a @ b
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, k):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
 
 
 def rank1_product(a: complex, v: np.ndarray) -> np.ndarray:

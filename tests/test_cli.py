@@ -191,6 +191,9 @@ BAD_FILES = {
     # the sweep checks its last, doubled count before its first case
     ["holonomy", "--loop", "{loop}", "--segments", "100000000000000"],
     ["sweep", "--kind", "segments", "--loop", "{loop}", "--segments", "1", "--cases", "70"],
+    # a random-rects sweep counts four edges per case against it, all cases at once
+    ["sweep", "--cases", "2000"],
+    ["sweep", "--cases", "100000000"],
     # a program's composite loop is counted against the budget before it is built
     ["gate", "--name", "uph1", "--sigma1", "1e300"],
     ["verify", "--program", "{huge_area_program}", "--time", "1"],
@@ -606,6 +609,13 @@ def test_sweep_seed_changes_output(capsys):
     _, out1 = run_cli(["sweep", "--kind", "random-rects", "--seed", "1", "--cases", "3"], capsys)
     _, out2 = run_cli(["sweep", "--kind", "random-rects", "--seed", "2", "--cases", "3"], capsys)
     assert out1 != out2
+
+
+def test_benchmark_sized_sweep_is_within_the_segment_budget(capsys):
+    # 12 rectangles x 4 edges x 64 segments at n = 4, the largest sweep the benchmark runs
+    code, out = run_cli(["sweep", "--seed", "3", "--cases", "12", "--segments", "64"], capsys)
+    assert code == 0
+    assert [r["case"] for r in json.loads(out)["rows"]] == list(range(12))
 
 
 def test_sweep_segments_convergence(tmp_path, capsys):

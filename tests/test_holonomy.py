@@ -1,4 +1,7 @@
 """Holonomy engine: closed-form laws, loop algebra, convergence, shape invariance."""
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from cpn_holonomy.connection import connection_along
 from cpn_holonomy.holonomy import _silent_edges
 from helpers import circle_loop, concatenate, l_shape_loop, reverse
 from test_connection import oracle_along  # per-entry closed forms of the connection
+
+HOLONOMY = importlib.import_module("cpn_holonomy.holonomy")  # the package attribute is the function
 
 C1_PLANE = PlaneTag(("theta:1", "phi:1"))
 
@@ -280,6 +285,28 @@ def test_silent_edges_have_zero_generators(n, seed, num_verts, segments):
     assert not np.any(gens[silent])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4),
+       st.sampled_from([1, 3, 2 ** 14]))
+def test_blocked_holonomy_matches_full_sequential_product(n, seed, num_verts, segments,
+                                                          block_entries):
+    """Silent edges left out, idle levels never evaluated, blocks of any size
+    (one segment each at 1): the holonomy is still the ordered product of the
+    exponentials of the full n x n generators of every segment."""
+    rng = np.random.default_rng(seed)
+    th = np.where(rng.random((num_verts, n)) < 0.5, 0.0, rng.uniform(0.0, np.pi / 2, (num_verts, n)))
+    th[:, rng.random(n) < 0.4] = 0.0  # whole levels at theta = 0, some with a moving phi
+    ph = np.where(rng.random((num_verts, n)) < 0.5, 0.4, rng.uniform(0, 2 * np.pi, (num_verts, n)))
+    th, ph = np.vstack([th, th[0]]), np.vstack([ph, ph[0]])
+    expect = np.eye(n, dtype=complex)
+    for g in _edge_generators(th, ph, segments).reshape(-1, n, n):
+        expect = expm(-g) @ expect
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HOLONOMY, "BLOCK_ENTRIES", block_entries)
+        got = holonomy(LoopPath(n, th, ph), segments).matrix
+    assert np.max(np.abs(got - expect)) <= 1e-13
+
+
 def test_silent_edges_of_program_loops_are_exactly_the_zero_edges():
     for name in ("CROT", "XOR", "SWAP", "PHASE1", "PHASE2"):
         loop = program_schedule(two_qubit_gate(name))
@@ -298,6 +325,20 @@ def test_loop_of_silent_edges_is_identity():
 def test_open_loop_rejected():
     with pytest.raises(ValueError, match="not closed"):
         LoopPath(1, np.array([[0.0], [0.3], [0.2]]), np.zeros((3, 1)))
+
+
+def test_holonomy_memory_is_bounded_by_its_blocks():
+    # 3 x 2^18 live segments would take over 70 MB built at once; numpy reports
+    # its allocations to tracemalloc
+    loop = realize_step_as_loop(GateStep("C1", 1, None, 0.7), 1)
+    tracemalloc.start()
+    try:
+        u = holonomy(loop, 2 ** 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert abs(u.matrix[0, 0] - np.exp(-0.7j)) < 1e-9
 
 
 def test_segments_validation():
@@ -370,3 +411,41 @@ def test_base_vertex_rotation_keeps_eigenphases(n, seed, num_verts, segments, st
     for p in range(1, n + 1):
         up, vp = np.linalg.matrix_power(u, p), np.linalg.matrix_power(v, p)
         assert abs(np.trace(up) - np.trace(vp)) <= 1e-12 * n
+
+
+def _axis_polyline(seed, n, num_steps):
+    """Closed polyline whose every edge moves one coordinate: random moves,
+    then one leg per coordinate back to the start."""
+    rng = np.random.default_rng(seed)
+    th, ph = [rng.uniform(0.0, np.pi / 2, n)], [rng.uniform(0.0, 2 * np.pi, n)]
+
+    def move(coords, b, value):
+        th.append(th[-1].copy())
+        ph.append(ph[-1].copy())
+        coords[-1][b] = value
+
+    for _ in range(num_steps):
+        b = rng.integers(n)
+        if rng.random() < 0.5:
+            move(th, b, rng.uniform(0.0, np.pi / 2))
+        else:
+            move(ph, b, rng.uniform(0.0, 2 * np.pi))
+    for coords in (th, ph):
+        for b in range(n):
+            move(coords, b, coords[0][b])
+    return np.array(th), np.array(ph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1), num_steps=st.integers(1, 8))
+def test_determinant_of_axis_aligned_loop(n, seed, num_steps):
+    # det U = exp(tr of the summed generators): a phi_b edge adds
+    # i sin^2(theta_b) prod_{k<b} cos^2(theta_k) d_phi_b at its fixed thetas, a
+    # theta edge nothing; exact at one segment per edge. At n <= 2 every
+    # segment factor takes the closed form.
+    th, ph = _axis_polyline(seed, n, num_steps)
+    weight = np.sin(th[:-1]) ** 2 * np.cumprod(
+        np.hstack([np.ones((th.shape[0] - 1, 1)), np.cos(th[:-1, :-1]) ** 2]), axis=1)
+    expect = np.exp(1j * np.sum(weight * (ph[1:] - ph[:-1])))
+    u = holonomy(LoopPath(n, th, ph), 1).matrix
+    assert abs(np.linalg.det(u) - expect) <= 1e-12

@@ -1,6 +1,8 @@
-"""Shared linear-algebra helpers: the pairwise ordered product, the rank-1 stepper."""
+"""Shared linear-algebra helpers: the segment exponential, the pairwise ordered
+product, the rank-1 stepper."""
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cpn_holonomy.linalg import CHUNK, complex_pairs, expm_antihermitian, fold_left, \
     rank1_product
@@ -11,9 +13,54 @@ def random_unitaries(rng, m, d):
     return expm_antihermitian(g - g.conj().transpose(0, 2, 1))
 
 
-@pytest.mark.parametrize("d", [1, 3])
+def eigh_route(g):
+    """exp(G) through eigh(iG), the route taken above k = 2."""
+    w, v = np.linalg.eigh(1j * g)
+    return np.einsum("...ij,...j,...kj->...ik", v, np.exp(-1j * w), v.conj())
+
+
+def random_generators(rng, m, k, norm):
+    """m anti-hermitian k x k generators, each of spectral norm `norm`."""
+    g = rng.normal(size=(m, k, k)) + 1j * rng.normal(size=(m, k, k))
+    g = g - g.conj().transpose(0, 2, 1)
+    return g * (norm / np.linalg.norm(g, ord=2, axis=(1, 2)))[:, None, None]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("norm", [1e-12, 1e-8, 1e-4, 1e-2, 0.5, 1.0, np.pi, 10.0])
+def test_closed_form_exponential_matches_scipy(k, norm):
+    rng = np.random.default_rng(k)
+    g = random_generators(rng, 64, k, norm)
+    got = expm_antihermitian(g)
+    assert got.shape == g.shape
+    assert np.max(np.abs(got - np.stack([expm(x) for x in g]))) <= 1e-13
+    # batched on any leading axes
+    assert np.array_equal(expm_antihermitian(g.reshape(8, 8, k, k)), got.reshape(8, 8, k, k))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_closed_form_exponential_is_exact_on_zero_and_phase(k):
+    assert np.array_equal(expm_antihermitian(np.zeros((3, k, k), dtype=complex)),
+                          np.broadcast_to(np.eye(k), (3, k, k)))
+    for a0 in (1e-300, 1e-9, 0.3, -2.5, np.pi, 40.0):
+        got = expm_antihermitian(-1j * a0 * np.eye(k)[None])
+        assert np.array_equal(got[0], np.exp(-1j * a0) * np.eye(k)), a0
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_closed_form_exponential_reads_iG_as_eigh_does(k):
+    # a slightly non-anti-hermitian G: the closed forms read the real diagonal
+    # and the lower triangle of iG only, as eigh does
+    rng = np.random.default_rng(40 + k)
+    g = random_generators(rng, 64, k, 1.0)
+    g = g + 1e-3 * (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
+    assert np.max(np.abs(expm_antihermitian(g) - eigh_route(g))) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_fold_left_matches_sequential_order(d):
-    # odd, even and power-of-two lengths; the factors do not commute
+    # odd, even and power-of-two lengths; the factors do not commute; d <= 2
+    # multiplies elementwise, d = 3 by matmul
     rng = np.random.default_rng(5 + d)
     for m in range(1, 34):
         factors = random_unitaries(rng, m, d)
