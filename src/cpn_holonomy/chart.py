@@ -96,23 +96,38 @@ def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Closed form of frame column n+1: v_j = e^{i phi_j} sin(theta_j)
     prod_{k<j} cos(theta_k) for j <= n and v_{n+1} = prod_k cos(theta_k),
-    O(n) per point instead of the n rotation matmuls of the full frame. The
-    real and imaginary parts are written directly, cos(phi_j) sin(theta_j)
-    prod_{k<j} cos(theta_k) and the same with sin(phi_j): the values of the
-    complex product, without a complex exponential. With n = 0 (no columns)
-    v is the one-level state 1.
+    O(n) per point instead of the n rotation matmuls of the full frame. With
+    n = 0 (no columns) v is the one-level state 1.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    cos_prefix = np.cumprod(np.cos(theta), axis=-1)
-    sin_theta = np.sin(theta)
-    v = np.empty(theta.shape[:-1] + (theta.shape[-1] + 1,), dtype=complex)
-    for part, trig in ((v.real, np.cos), (v.imag, np.sin)):
-        r = trig(phi) * sin_theta
-        r[..., 1:] *= cos_prefix[..., :-1]
-        part[..., :-1] = r
-    v.real[..., -1] = cos_prefix[..., -1] if theta.shape[-1] else 1.0
-    v.imag[..., -1] = 0.0
+    trig = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    return excited_state_from_trig(theta.shape[-1], theta.shape[:-1],
+                                   lambda j: [t[..., j] for t in trig])
+
+
+def excited_state_from_trig(n: int, batch: tuple, trig) -> np.ndarray:
+    """excited_state_batch from the cos and sin of the angles, one level at a time.
+
+    trig(j) returns cos(theta_j), sin(theta_j), cos(phi_j), sin(phi_j) over
+    the batch, for j = 0..n-1 in turn. The real and imaginary parts are
+    written directly, cos(phi_j) sin(theta_j) prod_{k<j} cos(theta_k) and
+    the same with sin(phi_j): the values of the complex product, without a
+    complex exponential. Callers that obtain the trig values some other way
+    (dynamics samples them per edge) get the same v, bit for bit, as from
+    the angles.
+    """
+    v = np.empty(batch + (n + 1,), dtype=complex)
+    prefix = None  # prod_{k<j} cos(theta_k), multiplied up one level at a time
+    for j in range(n):
+        cos_theta, sin_theta, cos_phi, sin_phi = trig(j)
+        for part, trig_phi in ((v.real, cos_phi), (v.imag, sin_phi)):
+            np.multiply(trig_phi, sin_theta, out=part[..., j])
+            if prefix is not None:
+                part[..., j] *= prefix
+        prefix = cos_theta if prefix is None else prefix * cos_theta
+    v.real[..., n] = 1.0 if prefix is None else prefix
+    v.imag[..., n] = 0.0
     return v
 
 

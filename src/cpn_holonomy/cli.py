@@ -18,7 +18,8 @@ error (exit 2). Every one takes --out (a path, '-' for stdout), and
 argparse also reads a unique prefix of an option's name ("--tim"), so a
 bare "--n" on gate and verify means --name, and on kick it is ambiguous.
 An option given twice, under any of its prefixes, is a usage error (exit
-2): "gate --n 4 --name xor" names --name twice.
+2): "gate --n 4 --name xor" names --name twice. The report tolerance --tol
+must be finite and >= 0.
 Angle-valued arguments accept pi-literals such as "pi", "pi/2",
 "-3pi/4" alongside plain floats, so areas stay exact; a negative angle may
 follow its option as its own token ("--sigma1 -pi/4"). All JSON output goes
@@ -227,7 +228,14 @@ def cmd_holonomy(args) -> str:
     return dump_json(out)
 
 
+def _check_tol(tol: float):
+    """The report tolerance: a distance below it is within_tol, so it is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"--tol must be finite and >= 0, got {tol!r}")
+
+
 def cmd_gate(args) -> str:
+    _check_tol(args.tol)
     program = two_qubit_gate(args.name, sigma1=args.sigma1, sigma3=args.sigma3)
     target = named_gate_matrix(args.name, sigma1=args.sigma1, sigma3=args.sigma3)
     evaluated = program.evaluate()
@@ -246,6 +254,7 @@ def cmd_gate(args) -> str:
 
 
 def cmd_compile(args) -> str:
+    _check_tol(args.tol)
     target = _load_json_file(args.target, _decode_target)
     n = max(args.beta_bar, 2) if args.n is None else args.n
     program = compile_u2_block(target, args.beta, args.beta_bar, n)
@@ -271,6 +280,7 @@ def _loop_from_args(args) -> tuple[LoopPath, int]:
 
 
 def cmd_verify(args) -> str:
+    _check_tol(args.tol)
     loop, segs = _loop_from_args(args)
     fam = HamiltonianFamily(loop.n, args.epsilon0)
     transport, diag = adiabatic_transport(fam, loop, args.time, args.steps)

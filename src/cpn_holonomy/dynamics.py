@@ -24,6 +24,20 @@ embedded in the (n+1) x (n+1) identity. Outputs match stepping all levels up
 to roundoff, from sums over fewer terms. A loop with no live level (phis
 moving at theta = 0) gives diag(1, ..., 1, e^{-i epsilon0 T}) as stepped.
 
+The adiabatic route samples per edge (_edge_trig). Lambda is linear in
+chart arclength between the loop's vertices (_knots), so along an edge a
+column that does not move keeps its vertex value; one searchsorted of the
+knots gives each edge its run of steps, and cos and sin of a live theta or
+phi are evaluated only on the runs of the edges that move it, at the value
+np.interp would give. Every other step repeats the vertex's cos and sin.
+The excited states are then assembled level by level from these values
+(chart.excited_state_from_trig), with the products excited_state_batch
+forms, so the propagator is the one of np.interp samples bit for bit. A
+gate program's composite loop moves one coordinate per edge, so its steps
+pay two trig evaluations each instead of four per live level. The kick
+route keeps sampling its N + 1 kick times with np.interp
+(_arclength_interpolator), on the same knots.
+
 The stepper (linalg.rank1_product) applies the steps in place,
 x <- x + (e^{-i epsilon0 dt} - 1) v (v† x), to chunks of linalg.CHUNK
 consecutive steps at once: O(d^2) per step, and no d x d factor is formed.
@@ -50,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chart import HamiltonianFamily, excited_state_batch, frame_unitary
+from .chart import HamiltonianFamily, excited_state_batch, excited_state_from_trig, frame_unitary
 from .holonomy import UnitaryMatrix
 from .loops import LoopPath
 
@@ -74,28 +88,31 @@ def _check_time_and_count(total_time: float, count: float, name: str):
         raise ValueError(f"{name} must be <= {MAX_STEPS}, got {count!r}")
 
 
-def _arclength_interpolator(loop: LoopPath, cols=slice(None)):
-    """Piecewise-linear lambda(s), s in [0,1] proportional to chart arclength.
+def _knots(loop: LoopPath, cols=slice(None)):
+    """Knots of s in [0, 1], proportional to chart arclength, and the angles there.
 
-    Only the theta/phi columns picked by cols are interpolated; the arclength
-    counts every coordinate.
+    Returns (knots, thetas, phis): the theta/phi columns picked by cols at
+    the vertex of each knot. The arclength counts every coordinate, and
+    zero-length edges are dropped. A degenerate loop has the one knot 0, at
+    its first vertex, so that np.interp holds its value everywhere.
     """
     th, ph = loop.thetas, loop.phis
     seg = np.sqrt(np.sum(np.diff(th, axis=0) ** 2, axis=1)
                   + np.sum(np.diff(ph, axis=0) ** 2, axis=1))
     keep = seg > 0
-    th, ph = th[:, cols], ph[:, cols]
-    if not np.any(keep):  # degenerate loop
-        def constant(s):
-            s = np.atleast_1d(s)
-            return (np.broadcast_to(th[0], s.shape + th[0].shape).copy(),
-                    np.broadcast_to(ph[0], s.shape + ph[0].shape).copy())
-        return constant
-    # drop zero-length edges so the knot vector is strictly increasing
     idx = np.concatenate([[0], np.nonzero(keep)[0] + 1])
-    thk, phk = th[idx], ph[idx]
     knots = np.concatenate([[0.0], np.cumsum(seg[keep])])
-    knots /= knots[-1]
+    if knots.size > 1:
+        knots /= knots[-1]
+    return knots, th[idx][:, cols], ph[idx][:, cols]
+
+
+def _arclength_interpolator(loop: LoopPath, cols=slice(None)):
+    """Piecewise-linear lambda(s) on _knots, by np.interp; s in [0, 1].
+
+    Only the theta/phi columns picked by cols are interpolated.
+    """
+    knots, thk, phk = _knots(loop, cols)
 
     def interp(s, values):  # np.interp holds the end values outside [0, 1]
         out = np.empty(s.shape + values.shape[1:])
@@ -110,6 +127,53 @@ def _arclength_interpolator(loop: LoopPath, cols=slice(None)):
     return lam
 
 
+def _edge_trig(knots: np.ndarray, values: np.ndarray, s: np.ndarray):
+    """cos and sin of np.interp(s, knots, col) for each column of values, bit for bit.
+
+    values holds one row per knot; s is sorted. Returns column(c), which
+    gives the cos and sin of column c at every sample, one column at a time
+    so that only a few vectors of len(s) are alive at once.
+
+    One searchsorted of the knots cuts s into runs: the samples before the
+    first knot, then for each knot those from it up to the next knot (a
+    repeated knot keeps none; past the last knot, all the rest). Where a
+    column does not move along an edge, np.interp's slope * (s - knot) +
+    value is the vertex value, so the run repeats the vertex's cos and sin;
+    so do the runs outside the knots, where np.interp holds the end values.
+    Only where a column moves are cos and sin evaluated, at each sample, on
+    np.interp's value. That holds bit for bit except at a -0.0 vertex,
+    which np.interp returns as -0.0 only on the knot itself; a column with
+    one is sampled by np.interp.
+    """
+    first = np.searchsorted(s, knots)
+    lengths = np.diff(first, prepend=0, append=s.size)
+    table = np.concatenate([values[:1], values]).T  # columns x runs
+    cos_table, sin_table = np.cos(table), np.sin(table)
+    # the (column, edge) pairs where the column moves, column by column
+    col, edge = np.nonzero(np.diff(values, axis=0).T != 0)
+    count = lengths[edge + 1]
+    col, edge, count = col[count > 0], edge[count > 0], count[count > 0]
+    ends = np.cumsum(count)
+    bounds = np.append(0, ends)[np.searchsorted(col, np.arange(values.shape[1] + 1))]
+    rows = np.repeat(first[edge] - (ends - count), count) + np.arange(bounds[-1])
+    slope = (values[edge + 1, col] - values[edge, col]) / (knots[edge + 1] - knots[edge])
+    x = (np.repeat(slope, count) * (s[rows] - np.repeat(knots[edge], count))
+         + np.repeat(values[edge, col], count))
+    signed_zero = np.any(np.signbit(values) & (values == 0.0), axis=0)
+
+    def column(c):
+        if signed_zero[c]:
+            angle = np.interp(s, knots, values[:, c])
+            return np.cos(angle), np.sin(angle)
+        cos, sin = np.repeat(cos_table[c], lengths), np.repeat(sin_table[c], lengths)
+        moving = slice(bounds[c], bounds[c + 1])
+        cos[rows[moving]] = np.cos(x[moving])
+        sin[rows[moving]] = np.sin(x[moving])
+        return cos, sin
+
+    return column
+
+
 def _live_levels(thetas: np.ndarray) -> np.ndarray:
     """Levels (0-based, below n+1) whose theta is nonzero in some row of thetas.
 
@@ -119,17 +183,16 @@ def _live_levels(thetas: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.any(thetas != 0.0, axis=0))
 
 
-def _rank1_product(f: HamiltonianFamily, live: np.ndarray, thetas: np.ndarray,
-                   phis: np.ndarray, dt: float) -> np.ndarray:
-    """Ordered product of exp(-i H(lambda_k) dt) over the sample points, later left.
+def _rank1_product(f: HamiltonianFamily, live: np.ndarray, v: np.ndarray,
+                   dt: float) -> np.ndarray:
+    """Ordered product of exp(-i H dt) = I + (e^{-i eps0 dt} - 1) |v><v| over the rows of v.
 
-    thetas/phis hold the sampled angles of the live levels only. The steps
-    act on the live levels and level n+1, at dimension len(live) + 1; the
-    block is embedded in the (n+1) x (n+1) identity. With no live level it
-    is the 1 x 1 product (1 + a)^M on level n+1.
+    v holds the excited states on the live levels and level n+1, one row per
+    step, later left. The steps act at dimension len(live) + 1; the block is
+    embedded in the (n+1) x (n+1) identity. With no live level it is the
+    1 x 1 product (1 + a)^M on level n+1.
     """
-    block = linalg.rank1_product(np.exp(-1j * f.epsilon0 * dt) - 1.0,
-                                 excited_state_batch(thetas, phis))
+    block = linalg.rank1_product(np.exp(-1j * f.epsilon0 * dt) - 1.0, v)
     levels = np.append(live, f.n)
     u = np.eye(f.dim, dtype=complex)
     u[np.ix_(levels, levels)] = block
@@ -141,13 +204,19 @@ def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     """Full (n+1)-dim propagator for one smoothstep-ramped traversal of the loop.
 
     Exponential midpoint rule: U = prod exp(-i H(lambda(s(t_mid))) dt), later
-    factors left; each factor is an exact rank-1 step.
+    factors left; each factor is an exact rank-1 step. The live angles are
+    sampled per edge (_edge_trig), so a step pays trig only for the
+    coordinates its edge moves; v is the same, bit for bit, as
+    excited_state_batch of the np.interp samples of _arclength_interpolator.
     """
     _check_time_and_count(total_time, steps, "steps")
     live = _live_levels(loop.thetas)  # linear interpolation keeps a zero column zero
-    lam = _arclength_interpolator(loop, live)
-    th, ph = lam(smoothstep((np.arange(steps) + 0.5) / steps))
-    return _rank1_product(f, live, th, ph, total_time / steps)
+    knots, th, ph = _knots(loop, live)
+    s = smoothstep((np.arange(steps) + 0.5) / steps)
+    column = _edge_trig(knots, np.concatenate([th, ph], axis=1), s)
+    k = live.size
+    v = excited_state_from_trig(k, s.shape, lambda j: (*column(j), *column(k + j)))
+    return _rank1_product(f, live, v, total_time / steps)
 
 
 @dataclass
@@ -252,4 +321,5 @@ def kick_evolution(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
     if f.n != plan.n:
         raise ValueError("family and plan dimensions disagree")
     live = _live_levels(plan.thetas[:-1])
-    return _rank1_product(f, live, plan.thetas[:-1, live], plan.phis[:-1, live], plan.delta_t)
+    v = excited_state_batch(plan.thetas[:-1, live], plan.phis[:-1, live])
+    return _rank1_product(f, live, v, plan.delta_t)

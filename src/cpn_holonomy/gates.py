@@ -21,6 +21,9 @@ composes the closed forms, later steps on the left; evaluate_integrated is
 the holonomy of the program's one composite loop (program_schedule), which
 the dynamical oracles also run. Its edges move one chart coordinate each,
 where the midpoint engine is exact, so one segment per edge suffices.
+program_schedule builds that loop in one pass, from the same rectangle
+rules as realize_step_as_loop (_rectangle: extents and orientation), and
+validates one LoopPath.
 Diagonal phases on a single level b are realized as C1(b, -gamma) [phase
 e^{i gamma}], which is what the compilers lean on.
 """
@@ -33,10 +36,12 @@ import numpy as np
 
 from . import linalg
 from .holonomy import UnitaryMatrix, check_segment_budget, holonomy
-from .loops import FAMILIES, LoopPath, PlaneTag, _bulk_point, json_int, rectangle_loop
+from .loops import (FAMILIES, RECTANGLE_CORNERS, LoopPath, PlaneTag, _bulk_point, json_int,
+                    rectangle_loop)
 
 MAX_RECT_AREA = {"C1": 1.5 * np.pi, "C2": 1.5 * np.pi, "C3": np.pi / 2, "C4": np.pi / 2}
 _ZERO_AREA = 1e-14
+_CORNERS = np.array(RECTANGLE_CORNERS)
 
 
 class AreaRangeError(ValueError):
@@ -116,6 +121,28 @@ def primitive_holonomy(step: GateStep, n: int) -> UnitaryMatrix:
     return UnitaryMatrix.from_raw(linalg.expm_antihermitian(g))
 
 
+def _rectangle(step: GateStep) -> tuple[float, float, bool]:
+    """(extent0, extent1, clockwise) of the step's rectangle in its sorted plane.
+
+    The rectangle is [0, extent0] x [0, extent1] in the coordinates of
+    step.plane(). A zero area gives the degenerate (0, 0); an area over the
+    family's capacity is an AreaRangeError.
+    """
+    cap = MAX_RECT_AREA[step.family]
+    if abs(step.area) > cap + 1e-12:
+        raise AreaRangeError(
+            f"|area|={abs(step.area):.6g} exceeds the single-rectangle capacity "
+            f"{cap:.6g} for {step.family}; split the step first")
+    if abs(step.area) < _ZERO_AREA:
+        return 0.0, 0.0, False
+    target = step.area
+    if step.family in ("C3", "C4") and step.beta > step.beta_bar:
+        target = -target  # sorted-plane line integral runs the other way
+    if step.family in ("C1", "C2"):
+        return np.pi / 2, abs(target), target > 0
+    return np.pi / 2, abs(target), target < 0
+
+
 def realize_step_as_loop(step: GateStep, n: int) -> LoopPath:
     """Rectangle loop whose engine holonomy equals the step's closed form.
 
@@ -126,22 +153,8 @@ def realize_step_as_loop(step: GateStep, n: int) -> LoopPath:
     conjugated generator, so the loop's enclosed_area is -area in that case.
     """
     step.validate_for(n)
-    cap = MAX_RECT_AREA[step.family]
-    if abs(step.area) > cap + 1e-12:
-        raise AreaRangeError(
-            f"|area|={abs(step.area):.6g} exceeds the single-rectangle capacity "
-            f"{cap:.6g} for {step.family}; split the step first")
-    plane = step.plane()
-    if abs(step.area) < _ZERO_AREA:
-        return rectangle_loop(n, plane, 0.0, 0.0, clockwise=False, family=step.family)
-    target = step.area
-    if step.family in ("C3", "C4") and step.beta > step.beta_bar:
-        target = -target  # sorted-plane line integral runs the other way
-    if step.family in ("C1", "C2"):
-        return rectangle_loop(n, plane, np.pi / 2, abs(target),
-                              clockwise=target > 0, family=step.family)
-    return rectangle_loop(n, plane, np.pi / 2, abs(target),
-                          clockwise=target < 0, family=step.family)
+    extent0, extent1, clockwise = _rectangle(step)
+    return rectangle_loop(n, step.plane(), extent0, extent1, clockwise, family=step.family)
 
 
 def _split_parts(step: GateStep) -> float:
@@ -226,27 +239,31 @@ def program_schedule(program: GateProgram) -> LoopPath:
 
     The loop's edge count is checked against holonomy.MAX_SEGMENT_ENTRIES at
     one segment per edge before any part is built, so a huge area is a
-    ValueError at once.
+    ValueError at once. Then each part of a step writes its fixed pattern of
+    rows (base point, the five rectangle corners, base point, origin) into
+    one (rows, 2n) array of theta and phi columns; the equal parts of a split
+    step repeat one pattern. A row equal to the one before it is dropped,
+    and one LoopPath is validated.
     """
     n = program.n
     check_segment_budget(_schedule_edges(program), 1, n)
-    origin = np.zeros(n)
-    ths, phs = [origin], [origin]
-
-    def push(t, p):
-        if np.max(np.abs(t - ths[-1])) > 0 or np.max(np.abs(p - phs[-1])) > 0:
-            ths.append(np.asarray(t, dtype=float))
-            phs.append(np.asarray(p, dtype=float))
-
+    rows = [np.zeros((1, 2 * n))]  # the origin
     for step in program.steps:
-        for part in split_step(step):
-            base = _bulk_point(n, part.frozen_coords())
-            loop = realize_step_as_loop(part, n)
-            for t, p in [base, *zip(loop.thetas, loop.phis), base, (origin, origin)]:
-                push(t, p)
-    if len(ths) < 3:  # empty program: degenerate loop at the origin
-        ths, phs = [origin] * 3, [origin] * 3
-    return LoopPath(n, np.stack(ths), np.stack(phs))
+        parts = split_step(step)
+        part = parts[0]
+        extent0, extent1, clockwise = _rectangle(part)
+        pattern = np.zeros((8, 2 * n))
+        pattern[:7] = np.concatenate(_bulk_point(n, part.frozen_coords()))
+        corners = _CORNERS[::-1] if clockwise else _CORNERS
+        for (kind, idx), at, extent in zip(part.plane().axes(), corners.T,
+                                           (extent0, extent1)):
+            pattern[1:6, (0 if kind == "theta" else n) + idx - 1] = np.where(at, extent, 0.0)
+        rows.append(np.tile(pattern, (len(parts), 1)))
+    rows = np.concatenate(rows)
+    rows = rows[np.append(True, np.any(rows[1:] != rows[:-1], axis=1))]
+    if len(rows) < 3:  # empty program: degenerate loop at the origin
+        rows = np.zeros((3, 2 * n))
+    return LoopPath(n, rows[:, :n], rows[:, n:])
 
 
 # ---------- single-block compiler ----------

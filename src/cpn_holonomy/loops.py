@@ -31,6 +31,9 @@ from .chart import ControlPoint
 
 CLOSURE_TOL = 1e-14
 FAMILIES = ("C1", "C2", "C3", "C4")
+# rectangle_loop's corners, counter-clockwise: whether each sits at extent0, at extent1
+RECTANGLE_CORNERS = ((False, False), (True, False), (True, True), (False, True),
+                     (False, False))
 
 
 @dataclass(frozen=True)
@@ -220,6 +223,6 @@ def loop_from_plane_vertices(n: int, plane: PlaneTag, verts: list[tuple[float, f
 def rectangle_loop(n: int, plane: PlaneTag, extent0: float, extent1: float,
                    clockwise: bool, family: str | None = None) -> LoopPath:
     """Axis-aligned rectangle [0, extent0] x [0, extent1] in the tagged plane."""
-    ccw = [(0.0, 0.0), (extent0, 0.0), (extent0, extent1), (0.0, extent1), (0.0, 0.0)]
+    ccw = [(extent0 if at0 else 0.0, extent1 if at1 else 0.0) for at0, at1 in RECTANGLE_CORNERS]
     verts = ccw[::-1] if clockwise else ccw
     return loop_from_plane_vertices(n, plane, verts, family)

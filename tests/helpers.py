@@ -1,8 +1,10 @@
-"""Loop builders and a dense register embedding that only the tests use."""
+"""Loop builders, a per-part schedule builder and a dense register embedding that only
+the tests use."""
 import numpy as np
 
 from cpn_holonomy.chart import ControlPoint
-from cpn_holonomy.loops import LoopPath, PlaneTag, loop_from_plane_vertices
+from cpn_holonomy.gates import GateProgram, realize_step_as_loop, split_step
+from cpn_holonomy.loops import LoopPath, PlaneTag, _bulk_point, loop_from_plane_vertices
 from cpn_holonomy.multipartite import EmbeddedGate
 
 
@@ -62,3 +64,30 @@ def dense(gate: EmbeddedGate) -> np.ndarray:
     """Full register matrix of an embedded gate, one basis column at a time."""
     dim = gate.reg.dim
     return np.stack([gate.apply(e) for e in np.eye(dim, dtype=complex)], axis=1)
+
+
+def program_schedule_by_parts(program: GateProgram) -> LoopPath:
+    """gates.program_schedule built one part at a time: the oracle of its vertex arrays.
+
+    Every part pushes its base point, the vertices of its own validated
+    realize_step_as_loop rectangle, its base point and the origin; a vertex
+    equal to the last one pushed is skipped.
+    """
+    n = program.n
+    origin = np.zeros(n)
+    ths, phs = [origin], [origin]
+
+    def push(t, p):
+        if np.max(np.abs(t - ths[-1])) > 0 or np.max(np.abs(p - phs[-1])) > 0:
+            ths.append(np.asarray(t, dtype=float))
+            phs.append(np.asarray(p, dtype=float))
+
+    for step in program.steps:
+        for part in split_step(step):
+            base = _bulk_point(n, part.frozen_coords())
+            loop = realize_step_as_loop(part, n)
+            for t, p in [base, *zip(loop.thetas, loop.phis), base, (origin, origin)]:
+                push(t, p)
+    if len(ths) < 3:  # empty program: degenerate loop at the origin
+        ths, phs = [origin] * 3, [origin] * 3
+    return LoopPath(n, np.stack(ths), np.stack(phs))

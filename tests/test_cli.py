@@ -197,6 +197,11 @@ BAD_FILES = {
     # a program's composite loop is counted against the budget before it is built
     ["gate", "--name", "uph1", "--sigma1", "1e300"],
     ["verify", "--program", "{huge_area_program}", "--time", "1"],
+    # a report tolerance is finite and >= 0; inf, nan or a negative one decides nothing
+    ["verify", "--name", "crot", "--time", "250", "--tol", "inf"],
+    ["gate", "--name", "xor", "--tol", "nan"],
+    ["gate", "--name", "xor", "--tol", "-1"],
+    ["compile", "--target", "{target}", "--beta", "1", "--beta-bar", "2", "--tol=-inf"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(

@@ -267,6 +267,121 @@ def test_live_level_stepping_matches_all_levels(kinds, vertices, steps, seed):
                               plan.phis[:-1], plan.delta_t)
 
 
+# ---------- per-edge sampling ----------
+
+def _interp_propagator(fam, loop, total, steps):
+    """propagate_frames by np.interp of every live column at every step, then
+    excited_state_batch of the angles: the oracle of its per-edge sampling."""
+    live = dynamics._live_levels(loop.thetas)
+    s = smoothstep((np.arange(steps) + 0.5) / steps)
+    v = excited_state_batch(*_arclength_interpolator(loop, live)(s))
+    dt = total / steps
+    block = rank1_product(np.exp(-1j * fam.epsilon0 * dt) - 1.0, v)
+    levels = np.append(live, fam.n)
+    u = np.eye(fam.dim, dtype=complex)
+    u[np.ix_(levels, levels)] = block
+    return u
+
+
+def _same_bits(a, b):
+    """Equal values and equal signs of zero, entry by entry."""
+    a, b = np.asarray(a), np.asarray(b)
+    if np.iscomplexobj(a):
+        a, b = a.view(float), b.view(float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+THETA_KINDS = ("free", "const", "half_pi", "zero", "neg_zero")
+EDGE_KINDS = ("axis", "oblique", "still")
+
+
+def _sampled_loop(rng, kinds, edges):
+    """Closed polyline whose theta column j is, by kinds[j]: free to move, a
+    nonzero constant, frozen at pi/2, 0, or 0 with -0.0 at some vertices. Each
+    edge moves one coordinate ("axis"), every free one ("oblique") or none
+    ("still", a zero-length edge). A phi column moves or stays 0 (or -0.0)."""
+    n = len(kinds)
+    theta = np.array([{"const": rng.uniform(0.1, 1.4), "half_pi": np.pi / 2}.get(k, 0.0)
+                      for k in kinds])
+    phi = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.1, 6.0, n))
+    free = [j for j, k in enumerate(kinds) if k == "free"] + [n + j for j in range(n)
+                                                             if phi[j] != 0.0]
+    point = np.concatenate([theta, phi])
+    points = [point]
+    for kind in edges:
+        point = point.copy()
+        moved = []
+        if kind == "oblique":
+            moved = free
+        elif kind == "axis" and free:
+            moved = [free[rng.integers(len(free))]]
+        for c in moved:
+            point[c] = rng.uniform(0.05, 1.5) if c < n else rng.uniform(0.1, 6.0)
+        points.append(point)
+    points.append(points[0])
+    pts = np.array(points)
+    for j, k in enumerate(kinds):
+        if k == "neg_zero":
+            pts[rng.random(len(pts)) < 0.5, j] = -0.0
+        if pts[0, n + j] == 0.0 and rng.random() < 0.5:
+            pts[rng.random(len(pts)) < 0.5, n + j] = -0.0
+    pts[-1] = pts[0]
+    return LoopPath(n, pts[:, :n], pts[:, n:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(THETA_KINDS), min_size=1, max_size=4),
+       st.lists(st.sampled_from(EDGE_KINDS), min_size=1, max_size=6),
+       st.sampled_from([1, 2, 7, 33, 200]), st.integers(0, 2 ** 32 - 1))
+@example(["free", "half_pi", "zero", "const"], ["axis", "axis", "still", "oblique"], 200, 0)
+@example(["neg_zero", "free"], ["axis", "axis", "axis"], 33, 1)
+@example(["zero", "neg_zero"], ["oblique", "still"], 7, 2)  # no live level
+@example(["free"], ["axis", "axis", "axis"], 7, 3)  # odd step count: a sample at s = 0.5
+def test_per_edge_sampling_matches_interp(kinds, edges, steps, seed):
+    # propagate_frames pays trig only where an edge moves a column, and its
+    # propagator is still the np.interp path's, bit for bit
+    rng = np.random.default_rng(seed)
+    loop = _sampled_loop(rng, kinds, edges)
+    fam = HamiltonianFamily(loop.n, epsilon0=1.3)
+    assert _same_bits(propagate_frames(fam, loop, 20.0, steps),
+                      _interp_propagator(fam, loop, 20.0, steps))
+
+
+def test_per_edge_sampling_of_programs_matches_interp():
+    # the named gates' composite loops move one coordinate per edge
+    fam = HamiltonianFamily(4)
+    for name in NAMED_GATES:
+        loop = program_schedule(two_qubit_gate(name))
+        for steps in (1, 33, 5001):
+            assert _same_bits(propagate_frames(fam, loop, 250.0, steps),
+                              _interp_propagator(fam, loop, 250.0, steps)), (name, steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 4), st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
+@example(4, 3, 10, 0)
+@example(0, 2, 5, 1)  # one knot: np.interp holds its value everywhere
+def test_edge_trig_on_knots_matches_interp(edges, columns, extra, seed):
+    # samples on the knots (each knot possibly hit several times, a knot
+    # repeated), before the first and past the last, plus interior ones
+    rng = np.random.default_rng(seed)
+    knots = np.sort(rng.random(edges + 1))
+    knots[0] = 0.0
+    if edges:
+        knots[-1] = 1.0
+    if edges >= 3:
+        knots[2] = knots[1]
+    values = rng.choice([0.0, -0.0, 0.3, np.pi / 2, 1.1], size=(edges + 1, columns))
+    values[rng.random(values.shape) < 0.5] = rng.uniform(0.0, 1.5)
+    s = np.sort(np.concatenate([rng.choice(knots, 2 * edges + 2), [-0.25, 1.25],
+                                rng.uniform(-0.1, 1.1, extra)]))
+    column = dynamics._edge_trig(knots, values, s)
+    for c in range(columns):
+        angle = np.interp(s, knots, values[:, c])
+        cos, sin = column(c)
+        assert _same_bits(cos, np.cos(angle)) and _same_bits(sin, np.sin(angle))
+
+
 @pytest.mark.parametrize("total,steps", [(0.0, 10), (-1.0, 10), (np.inf, 10),
                                          (np.nan, 10), (10.0, 0), (10.0, MAX_STEPS + 1)])
 def test_propagate_frames_validation(total, steps):

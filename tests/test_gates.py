@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpn_holonomy import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                           compile_unitary, enclosed_area, holonomy, named_gate_matrix,
@@ -11,6 +13,8 @@ from cpn_holonomy import (AreaRangeError, GateProgram, GateStep, compile_u2_bloc
 from cpn_holonomy import gates
 from cpn_holonomy.gates import embed_two_level, givens_decompose
 from cpn_holonomy.linalg import dist_up_to_phase, unitarity_defect
+from cpn_holonomy.loops import FAMILIES
+from helpers import program_schedule_by_parts
 
 
 def random_unitary(rng, d):
@@ -161,6 +165,60 @@ def test_program_schedule_counts_its_edges_before_building(monkeypatch):
             program_schedule(huge)
         with pytest.raises(ValueError, match="exceed the budget"):
             huge.evaluate_integrated()
+
+
+def _schedules_agree(prog):
+    """program_schedule against the per-part builder: the same vertex arrays,
+    or both a ValueError (a faulty program may name a different faulty step)."""
+    try:
+        expect = program_schedule_by_parts(prog)
+    except ValueError:
+        with pytest.raises(ValueError):
+            program_schedule(prog)
+        return
+    got = program_schedule(prog)
+    for a, b in ((got.thetas, expect.thetas), (got.phis, expect.phis)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+AREAS = st.one_of(st.sampled_from([0.0, -0.0, 1e-15, -1e-15, 2e-14, -2e-14]),
+                  st.floats(-1.0, 1.0), st.floats(-3.0, 3.0).map(lambda x: x * np.pi))
+
+
+@st.composite
+def gate_steps(draw, n):
+    family = draw(st.sampled_from(("C1",) if n == 1 else FAMILIES))
+    beta = draw(st.integers(1, n))
+    beta_bar = None
+    if family != "C1":
+        beta_bar = draw(st.integers(1, n).filter(lambda b: b != beta))
+    area = draw(AREAS)
+    if draw(st.booleans()):  # near or over a rectangle's capacity
+        area = np.copysign(draw(st.sampled_from([1.0, 1.0 + 1e-13, 2.0, 2.5, 3.0])), area) \
+            * gates.MAX_RECT_AREA[family]
+    return GateStep(family, beta, beta_bar, float(area))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n),
+                                                     st.lists(gate_steps(n), max_size=6))))
+@example((1, []))
+@example((3, [GateStep("C2", 3, 1, 0.5), GateStep("C4", 2, 1, -1e-15),
+              GateStep("C3", 2, 1, -2.0)]))
+def test_program_schedule_matches_per_part_builder(program):
+    # one pass over all parts builds the vertex arrays the per-part builder does:
+    # every family, both index orders, zero, tiny, negative and over-capacity areas
+    n, steps = program
+    _schedules_agree(GateProgram(n, tuple(steps)))
+
+
+def test_program_schedule_of_named_and_compiled_programs_matches_per_part_builder():
+    rng = np.random.default_rng(23)
+    for name in ("XOR", "CROT", "SWAP", "PHASE1", "PHASE2", "UPH1"):
+        for sigma1, sigma3 in ((np.pi / 4, np.pi / 4), (0.4, 2.9), (-1.0, 0.0)):
+            _schedules_agree(two_qubit_gate(name, sigma1=sigma1, sigma3=sigma3))
+    for n in (2, 3, 4, 5, 6):
+        _schedules_agree(compile_unitary(random_unitary(rng, n), n))
 
 
 # ---------- single-block compiler ----------
