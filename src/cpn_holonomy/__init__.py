@@ -8,8 +8,7 @@ repeated-pulse kick scheme).
 """
 from .chart import ControlPoint, HamiltonianFamily, frame_unitary
 from .connection import ConnectionValue, connection_along, connection_analytic
-from .dynamics import (KickPlan, adiabatic_transport, kick_evolution, propagate_frames,
-                       smoothstep)
+from .dynamics import adiabatic_transport, kick_evolution, propagate_frames, smoothstep
 from .gates import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                     compile_unitary, named_gate_matrix, primitive_holonomy,
                     program_schedule, realize_step_as_loop, single_qubit_block,
@@ -26,8 +25,8 @@ __all__ = [
     "GateStep", "GateProgram", "AreaRangeError", "primitive_holonomy",
     "realize_step_as_loop", "compile_u2_block", "compile_unitary",
     "two_qubit_gate", "named_gate_matrix", "single_qubit_block",
-    "KickPlan", "adiabatic_transport", "kick_evolution",
-    "propagate_frames", "program_schedule", "smoothstep",
+    "adiabatic_transport", "kick_evolution", "propagate_frames",
+    "program_schedule", "smoothstep",
     "Register", "EmbeddedGate", "apply_circuit", "gate_count",
     "CostReport",
 ]

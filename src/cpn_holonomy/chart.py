@@ -91,31 +91,20 @@ def frame_unitary_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return u
 
 
-def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Level-(n+1) eigenstates for a batch of points; theta/phi (..., n) -> (..., n+1).
+def excited_state_from_trig(n: int, batch: tuple, trig) -> np.ndarray:
+    """Level-(n+1) eigenstates for a batch of points, from the cos and sin of the angles.
 
     Closed form of frame column n+1: v_j = e^{i phi_j} sin(theta_j)
     prod_{k<j} cos(theta_k) for j <= n and v_{n+1} = prod_k cos(theta_k),
-    O(n) per point instead of the n rotation matmuls of the full frame. With
-    n = 0 (no columns) v is the one-level state 1.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    trig = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-    return excited_state_from_trig(theta.shape[-1], theta.shape[:-1],
-                                   lambda j: [t[..., j] for t in trig])
-
-
-def excited_state_from_trig(n: int, batch: tuple, trig) -> np.ndarray:
-    """excited_state_batch from the cos and sin of the angles, one level at a time.
+    O(n) per point instead of the n rotation matmuls of the full frame; the
+    result has shape batch + (n+1,). With n = 0 v is the one-level state 1.
 
     trig(j) returns cos(theta_j), sin(theta_j), cos(phi_j), sin(phi_j) over
-    the batch, for j = 0..n-1 in turn. The real and imaginary parts are
-    written directly, cos(phi_j) sin(theta_j) prod_{k<j} cos(theta_k) and
-    the same with sin(phi_j): the values of the complex product, without a
-    complex exponential. Callers that obtain the trig values some other way
-    (dynamics samples them per edge) get the same v, bit for bit, as from
-    the angles.
+    the batch, for j = 0..n-1 in turn, so a caller may obtain them any way
+    it likes (dynamics samples them per edge). The real and imaginary parts
+    are written directly, cos(phi_j) sin(theta_j) prod_{k<j} cos(theta_k)
+    and the same with sin(phi_j): the values of the complex product, without
+    a complex exponential.
     """
     v = np.empty(batch + (n + 1,), dtype=complex)
     prefix = None  # prod_{k<j} cos(theta_k), multiplied up one level at a time

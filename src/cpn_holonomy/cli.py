@@ -48,7 +48,8 @@ import numpy as np
 from . import linalg
 from .chart import ControlPoint, HamiltonianFamily
 from .connection import connection_analytic
-from .dynamics import KickPlan, adiabatic_transport, kick_evolution, propagate_frames
+from .dynamics import _check_time_and_count, adiabatic_transport, kick_evolution, \
+    propagate_frames
 from .gates import GateProgram, GateStep, compile_u2_block, embed_two_level, \
     named_gate_matrix, primitive_holonomy, program_schedule, realize_step_as_loop, \
     two_qubit_gate
@@ -295,15 +296,14 @@ def cmd_kick(args) -> str:
     n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
     if not n_list:
         raise ValueError("--n-list must contain at least one interval count")
-    if min(n_list) < 1 or args.ref_steps < 1:
-        raise ValueError("--n-list entries and --ref-steps must be >= 1")
+    # every count and the time are checked before the reference run starts
+    _check_time_and_count(args.time, args.ref_steps, "--ref-steps")
+    for N in n_list:
+        _check_time_and_count(args.time, N, "--n-list entries")
     fam = HamiltonianFamily(loop.n, args.epsilon0)
     ref = propagate_frames(fam, loop, args.time, args.ref_steps)
-    rows = []
-    for n_int in n_list:
-        plan = KickPlan.from_loop(loop, args.time, n_int)
-        dist = linalg.max_abs_diff(kick_evolution(fam, plan), ref)
-        rows.append((n_int, args.time / n_int, dist))
+    rows = [(N, args.time / N, linalg.max_abs_diff(kick_evolution(fam, loop, args.time, N), ref))
+            for N in n_list]
     if args.format == "json":
         return dump_json({"T": args.time, "ref_steps": args.ref_steps,
                           "rows": [{"N": N, "delta_t": dt, "distance": d}

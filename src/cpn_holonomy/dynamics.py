@@ -16,27 +16,25 @@ point, so no dynamical phase accrues on the code and the extracted transport
 matrix can be compared to a loop holonomy directly.
 
 The steps act only on the live levels: those whose theta is nonzero at
-some vertex of the loop (some sample of a kick plan), plus level n+1. A
-level whose theta stays 0 has v_j = 0 and cos(theta_j) = 1 at every sample,
-so every step leaves it exactly as the identity; only the live theta/phi
-columns are sampled, and the product is formed at dimension |live| + 1 and
-embedded in the (n+1) x (n+1) identity. Outputs match stepping all levels up
-to roundoff, from sums over fewer terms. A loop with no live level (phis
-moving at theta = 0) gives diag(1, ..., 1, e^{-i epsilon0 T}) as stepped.
+some vertex of the loop, plus level n+1. A level whose theta stays 0 has
+v_j = 0 and cos(theta_j) = 1 at every sample, so every step leaves it
+exactly as the identity; only the live theta/phi columns are sampled, and
+the product is formed at dimension |live| + 1 and embedded in the
+(n+1) x (n+1) identity. Outputs match stepping all levels up to roundoff,
+from sums over fewer terms. A loop with no live level (phis moving at
+theta = 0) gives diag(1, ..., 1, e^{-i epsilon0 T}) as stepped.
 
-The adiabatic route samples per edge (_edge_trig). Lambda is linear in
-chart arclength between the loop's vertices (_knots), so along an edge a
-column that does not move keeps its vertex value; one searchsorted of the
-knots gives each edge its run of steps, and cos and sin of a live theta or
-phi are evaluated only on the runs of the edges that move it, at the value
-np.interp would give. Every other step repeats the vertex's cos and sin.
-The excited states are then assembled level by level from these values
-(chart.excited_state_from_trig), with the products excited_state_batch
-forms, so the propagator is the one of np.interp samples bit for bit. A
-gate program's composite loop moves one coordinate per edge, so its steps
-pay two trig evaluations each instead of four per live level. The kick
-route keeps sampling its N + 1 kick times with np.interp
-(_arclength_interpolator), on the same knots.
+Both routes sample through one helper (_excited_states), per edge
+(_edge_trig). Lambda is linear in chart arclength between the loop's
+vertices (_knots), so along an edge a column that does not move keeps its
+vertex value; one searchsorted of the knots gives each edge its run of
+nodes, and cos and sin of a live theta or phi are evaluated only on the
+runs of the edges that move it, at the value linear interpolation between
+the knots gives. Every other node repeats the vertex's cos and sin. The
+excited states are then assembled level by level from these values
+(chart.excited_state_from_trig). A gate program's composite loop moves one
+coordinate per edge, so its nodes pay two trig evaluations each instead of
+four per live level.
 
 The stepper (linalg.rank1_product) applies the steps in place,
 x <- x + (e^{-i epsilon0 dt} - 1) v (v† x), to chunks of linalg.CHUNK
@@ -64,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chart import HamiltonianFamily, excited_state_batch, excited_state_from_trig, frame_unitary
+from .chart import HamiltonianFamily, excited_state_from_trig, frame_unitary
 from .holonomy import UnitaryMatrix
 from .loops import LoopPath
 
@@ -94,7 +92,7 @@ def _knots(loop: LoopPath, cols=slice(None)):
     Returns (knots, thetas, phis): the theta/phi columns picked by cols at
     the vertex of each knot. The arclength counts every coordinate, and
     zero-length edges are dropped. A degenerate loop has the one knot 0, at
-    its first vertex, so that np.interp holds its value everywhere.
+    its first vertex, whose value holds everywhere.
     """
     th, ph = loop.thetas, loop.phis
     seg = np.sqrt(np.sum(np.diff(th, axis=0) ** 2, axis=1)
@@ -107,26 +105,6 @@ def _knots(loop: LoopPath, cols=slice(None)):
     return knots, th[idx][:, cols], ph[idx][:, cols]
 
 
-def _arclength_interpolator(loop: LoopPath, cols=slice(None)):
-    """Piecewise-linear lambda(s) on _knots, by np.interp; s in [0, 1].
-
-    Only the theta/phi columns picked by cols are interpolated.
-    """
-    knots, thk, phk = _knots(loop, cols)
-
-    def interp(s, values):  # np.interp holds the end values outside [0, 1]
-        out = np.empty(s.shape + values.shape[1:])
-        for j, col in enumerate(values.T):
-            out[..., j] = np.interp(s, knots, col)
-        return out
-
-    def lam(s):
-        s = np.atleast_1d(s)
-        return interp(s, thk), interp(s, phk)
-
-    return lam
-
-
 def _edge_trig(knots: np.ndarray, values: np.ndarray, s: np.ndarray):
     """cos and sin of np.interp(s, knots, col) for each column of values, bit for bit.
 
@@ -137,13 +115,14 @@ def _edge_trig(knots: np.ndarray, values: np.ndarray, s: np.ndarray):
     One searchsorted of the knots cuts s into runs: the samples before the
     first knot, then for each knot those from it up to the next knot (a
     repeated knot keeps none; past the last knot, all the rest). Where a
-    column does not move along an edge, np.interp's slope * (s - knot) +
-    value is the vertex value, so the run repeats the vertex's cos and sin;
-    so do the runs outside the knots, where np.interp holds the end values.
-    Only where a column moves are cos and sin evaluated, at each sample, on
-    np.interp's value. That holds bit for bit except at a -0.0 vertex,
-    which np.interp returns as -0.0 only on the knot itself; a column with
-    one is sampled by np.interp.
+    column does not move along an edge, linear interpolation's
+    slope * (s - knot) + value is the vertex value, so the run repeats the
+    vertex's cos and sin; so do the runs outside the knots, which hold the
+    end values. Only where a column moves are cos and sin evaluated, at each
+    sample, on that formula's value. A -0.0 vertex is the one value the
+    formula changes: it gives +0.0 off the knot and -0.0 on it, so a column
+    with one is interpolated in full, its signs of zero as np.interp gives
+    them, before its cos and sin are taken.
     """
     first = np.searchsorted(s, knots)
     lengths = np.diff(first, prepend=0, append=s.size)
@@ -162,11 +141,17 @@ def _edge_trig(knots: np.ndarray, values: np.ndarray, s: np.ndarray):
     signed_zero = np.any(np.signbit(values) & (values == 0.0), axis=0)
 
     def column(c):
+        moving = slice(bounds[c], bounds[c + 1])
         if signed_zero[c]:
-            angle = np.interp(s, knots, values[:, c])
+            angle = np.repeat(table[c], lengths)
+            angle[first[0]:first[-1]] += 0.0  # slope * (s - knot) + -0.0 is +0.0
+            angle[rows[moving]] = x[moving]
+            # a sample on the knot of its run keeps the knot's value as given
+            hits = np.minimum(np.searchsorted(s, knots, "right"), first + lengths[1:]) - first
+            on_knot = np.repeat(first - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
+            angle[on_knot] = np.repeat(values[:, c], hits)
             return np.cos(angle), np.sin(angle)
         cos, sin = np.repeat(cos_table[c], lengths), np.repeat(sin_table[c], lengths)
-        moving = slice(bounds[c], bounds[c + 1])
         cos[rows[moving]] = np.cos(x[moving])
         sin[rows[moving]] = np.sin(x[moving])
         return cos, sin
@@ -181,6 +166,21 @@ def _live_levels(thetas: np.ndarray) -> np.ndarray:
     sample, so every rank-1 step acts on it as the exact identity.
     """
     return np.flatnonzero(np.any(thetas != 0.0, axis=0))
+
+
+def _excited_states(loop: LoopPath, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The live levels of the loop and v, one row per node of s in [0, 1].
+
+    The live angles are sampled per edge (_edge_trig), so a node pays trig
+    only for the coordinates its edge moves; linear interpolation keeps a
+    zero theta column zero, so the loop's vertices decide the live levels.
+    """
+    live = _live_levels(loop.thetas)
+    knots, th, ph = _knots(loop, live)
+    column = _edge_trig(knots, np.concatenate([th, ph], axis=1), nodes)
+    k = live.size
+    return live, excited_state_from_trig(k, nodes.shape,
+                                         lambda j: (*column(j), *column(k + j)))
 
 
 def _rank1_product(f: HamiltonianFamily, live: np.ndarray, v: np.ndarray,
@@ -204,18 +204,13 @@ def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     """Full (n+1)-dim propagator for one smoothstep-ramped traversal of the loop.
 
     Exponential midpoint rule: U = prod exp(-i H(lambda(s(t_mid))) dt), later
-    factors left; each factor is an exact rank-1 step. The live angles are
-    sampled per edge (_edge_trig), so a step pays trig only for the
-    coordinates its edge moves; v is the same, bit for bit, as
-    excited_state_batch of the np.interp samples of _arclength_interpolator.
+    factors left, with nodes smoothstep((k + 1/2)/steps); each factor is an
+    exact rank-1 step.
     """
     _check_time_and_count(total_time, steps, "steps")
-    live = _live_levels(loop.thetas)  # linear interpolation keeps a zero column zero
-    knots, th, ph = _knots(loop, live)
-    s = smoothstep((np.arange(steps) + 0.5) / steps)
-    column = _edge_trig(knots, np.concatenate([th, ph], axis=1), s)
-    k = live.size
-    v = excited_state_from_trig(k, s.shape, lambda j: (*column(j), *column(k + j)))
+    if f.n != loop.n:
+        raise ValueError("family and loop dimensions disagree")
+    live, v = _excited_states(loop, smoothstep((np.arange(steps) + 0.5) / steps))
     return _rank1_product(f, live, v, total_time / steps)
 
 
@@ -248,8 +243,6 @@ def adiabatic_transport(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     (requested or raised) above MAX_STEPS are ValueErrors.
     """
     _check_time_and_count(total_time, steps, "steps")
-    if f.n != loop.n:
-        raise ValueError("family and loop dimensions disagree")
     # a float count, so that a huge T fails the check below instead of int()
     steps = max(steps, float(np.ceil(f.epsilon0 * total_time / MAX_EPS_DT)))
     _check_time_and_count(total_time, steps, "steps")
@@ -268,58 +261,18 @@ def adiabatic_transport(f: HamiltonianFamily, loop: LoopPath, total_time: float,
 
 # ---------- kick scheme ----------
 
-@dataclass(frozen=True)
-class KickPlan:
-    """Piecewise-constant frame schedule: N intervals of length delta_t.
+def kick_evolution(f: HamiltonianFamily, loop: LoopPath, total_time: float,
+                   intervals: int) -> np.ndarray:
+    """Kick-scheme propagator: N = intervals kicks of dt = total_time / N, later left.
 
-    lambda_schedule holds N+1 points with lambda_0 = lambda_N = base point;
-    interval i evolves in the frame of lambda_i.
+    Interval k evolves in the frame of lambda_k, the loop at the left
+    endpoint node smoothstep(k/N), k < N: each factor is
+    frame(lambda_k) exp(-i H0 dt) frame(lambda_k)†, the same rank-1 step as
+    propagate_frames takes at its midpoints. On a degenerate loop every kick
+    cancels and the product telescopes to exp(-i H0 T) in the base frame.
     """
-
-    n: int
-    delta_t: float
-    thetas: np.ndarray  # (N+1, n)
-    phis: np.ndarray  # (N+1, n)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.delta_t) and self.delta_t > 0):
-            raise ValueError(f"delta_t must be finite and positive, got {self.delta_t!r}")
-        th = np.asarray(self.thetas, dtype=float)
-        ph = np.asarray(self.phis, dtype=float)
-        if th.ndim != 2 or th.shape != ph.shape or th.shape[1] != self.n or th.shape[0] < 2:
-            raise ValueError("need matching (N+1, n) schedules with N >= 1")
-        if (np.max(np.abs(th[0] - th[-1])) > 1e-12
-                or np.max(np.abs(ph[0] - ph[-1])) > 1e-12):
-            raise ValueError("kick schedule must return to its base point")
-        object.__setattr__(self, "thetas", th)
-        object.__setattr__(self, "phis", ph)
-
-    @property
-    def num_intervals(self) -> int:
-        return self.thetas.shape[0] - 1
-
-    @property
-    def total_time(self) -> float:
-        return self.num_intervals * self.delta_t
-
-    @classmethod
-    def from_loop(cls, loop: LoopPath, total_time: float, num_intervals: int) -> "KickPlan":
-        """Sample the smoothstep-ramped loop traversal at the kick times t_i = i dt."""
-        _check_time_and_count(total_time, num_intervals, "num_intervals")
-        s = smoothstep(np.arange(num_intervals + 1) / num_intervals)
-        th, ph = _arclength_interpolator(loop)(s)
-        return cls(loop.n, total_time / num_intervals, th, ph)
-
-
-def kick_evolution(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
-    """Ordered product of frame(lambda_i) exp(-i H0 dt) frame(lambda_i)†, later left.
-
-    Each kick factor is the rank-1 step at the interval's left endpoint
-    lambda_i; with all lambda_i at the base point every kick cancels and the
-    product telescopes to exp(-i H0 T).
-    """
-    if f.n != plan.n:
-        raise ValueError("family and plan dimensions disagree")
-    live = _live_levels(plan.thetas[:-1])
-    v = excited_state_batch(plan.thetas[:-1, live], plan.phis[:-1, live])
-    return _rank1_product(f, live, v, plan.delta_t)
+    _check_time_and_count(total_time, intervals, "intervals")
+    if f.n != loop.n:
+        raise ValueError("family and loop dimensions disagree")
+    live, v = _excited_states(loop, smoothstep(np.arange(intervals) / intervals))
+    return _rank1_product(f, live, v, total_time / intervals)

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import linalg
 from .holonomy import UnitaryMatrix, check_segment_budget, holonomy
-from .loops import (FAMILIES, RECTANGLE_CORNERS, LoopPath, PlaneTag, _bulk_point, json_int,
-                    rectangle_loop)
+from .loops import (CLOSURE_TOL, FAMILIES, RECTANGLE_CORNERS, LoopPath, PlaneTag, _bulk_point,
+                    json_int, rectangle_loop)
 
 MAX_RECT_AREA = {"C1": 1.5 * np.pi, "C2": 1.5 * np.pi, "C3": np.pi / 2, "C4": np.pi / 2}
 _ZERO_AREA = 1e-14
@@ -126,10 +126,12 @@ def _rectangle(step: GateStep) -> tuple[float, float, bool]:
 
     The rectangle is [0, extent0] x [0, extent1] in the coordinates of
     step.plane(). A zero area gives the degenerate (0, 0); an area over the
-    family's capacity is an AreaRangeError.
+    family's capacity is an AreaRangeError. The capacity is allowed
+    loops.CLOSURE_TOL, the slack LoopPath allows a theta past pi/2, so a C3
+    or C4 rectangle that passes here is a valid loop.
     """
     cap = MAX_RECT_AREA[step.family]
-    if abs(step.area) > cap + 1e-12:
+    if abs(step.area) > cap + CLOSURE_TOL:
         raise AreaRangeError(
             f"|area|={abs(step.area):.6g} exceeds the single-rectangle capacity "
             f"{cap:.6g} for {step.family}; split the step first")
@@ -158,11 +160,13 @@ def realize_step_as_loop(step: GateStep, n: int) -> LoopPath:
 
 
 def _split_parts(step: GateStep) -> float:
-    """How many parts split_step cuts the step into, as a float (it may be huge)."""
-    cap = MAX_RECT_AREA[step.family]
-    if abs(step.area) <= cap:
-        return 1.0
-    return float(np.ceil(abs(step.area) / cap - 1e-12))
+    """How many parts split_step cuts the step into, as a float (it may be huge).
+
+    The fewest equal parts that each pass _rectangle's capacity check.
+    """
+    area, fits = abs(step.area), MAX_RECT_AREA[step.family] + CLOSURE_TOL
+    parts = max(1.0, float(np.ceil(area / fits)))
+    return parts + (area / parts > fits)  # the quotient may round past the capacity
 
 
 def split_step(step: GateStep) -> list[GateStep]:

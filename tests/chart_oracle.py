@@ -1,11 +1,14 @@
 """Closed-form chart eigenstates and Hamiltonians: test oracles for chart and dynamics.
 
-Built from explicit trigonometric products, independent of the rotation
-product in chart.frame_unitary_batch and of chart.excited_state_batch.
+eigenstate and hamiltonian_at are built from explicit trigonometric
+products, independent of the rotation product in chart.frame_unitary_batch
+and of chart.excited_state_from_trig. excited_state_batch feeds the latter
+the cos and sin of given angles: the excited states of angles sampled some
+other way than per edge, for the dynamics tests.
 """
 import numpy as np
 
-from cpn_holonomy.chart import THETA_MAX, ControlPoint, HamiltonianFamily
+from cpn_holonomy.chart import THETA_MAX, ControlPoint, HamiltonianFamily, excited_state_from_trig
 
 
 def eigenstate(p: ControlPoint, alpha: int) -> np.ndarray:
@@ -46,3 +49,16 @@ def hamiltonian_at(f: HamiltonianFamily, p: ControlPoint) -> np.ndarray:
         raise ValueError(f"dimension mismatch: family n={f.n}, point n={p.n}")
     v = eigenstate(p, p.n + 1)
     return f.epsilon0 * np.outer(v, v.conj())
+
+
+def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Level-(n+1) eigenstates for a batch of points; theta/phi (..., n) -> (..., n+1).
+
+    chart.excited_state_from_trig of the cos and sin of the angles; with
+    n = 0 (no columns) v is the one-level state 1.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    trig = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+    return excited_state_from_trig(theta.shape[-1], theta.shape[:-1],
+                                   lambda j: [t[..., j] for t in trig])

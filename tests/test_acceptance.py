@@ -13,7 +13,7 @@ import numpy as np
 from connection_oracle import connection_numeric
 from cpn_holonomy import (GateProgram, GateStep, HamiltonianFamily, PlaneTag,
                           adiabatic_transport, compile_u2_block, connection_analytic,
-                          enclosed_area, holonomy, kick_evolution, KickPlan, LoopPath,
+                          enclosed_area, holonomy, kick_evolution, LoopPath,
                           named_gate_matrix, primitive_holonomy, propagate_frames,
                           realize_step_as_loop, rectangle_loop, two_qubit_gate)
 from cpn_holonomy.chart import ControlPoint
@@ -134,10 +134,8 @@ def test_criterion_6_kick_convergence():
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
     total = 40.0
     ref = propagate_frames(fam, loop, total, 32768)
-    errs = {}
-    for n_int in (250, 500, 1000):
-        plan = KickPlan.from_loop(loop, total, n_int)
-        errs[n_int] = max_abs_diff(kick_evolution(fam, plan), ref)
+    errs = {n_int: max_abs_diff(kick_evolution(fam, loop, total, n_int), ref)
+            for n_int in (250, 500, 1000)}
     r1, r2 = errs[250] / errs[500], errs[500] / errs[1000]
     dt = time.time() - t0
     ok = 1.6 < r1 < 2.4 and 1.6 < r2 < 2.4 and dt < 60.0

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from chart_oracle import eigenstate, hamiltonian_at
+from chart_oracle import eigenstate, excited_state_batch, hamiltonian_at
 from cpn_holonomy import ControlPoint, HamiltonianFamily, frame_unitary
-from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
+from cpn_holonomy.chart import frame_unitary_batch
 from helpers import origin
 
 

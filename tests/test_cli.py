@@ -378,11 +378,22 @@ def test_kick_empty_nlist_exits_2(capsys):
     ["kick", "--name", "xor", "--n-list", "250", "--ref-steps", "0"],
     ["kick", "--name", "xor", "--n-list", "250", "--time", "inf"],
     ["kick", "--name", "xor", "--n-list", "250", "--time", "nan"],
+    # an interval count over the step limit, even after a good one
+    ["kick", "--name", "phase2", "--n-list", "250,5000000", "--time", "30",
+     "--ref-steps", "1000000"],
+    ["kick", "--name", "phase2", "--n-list", "250", "--time", "30", "--ref-steps", "5000000"],
     ["verify", "--name", "crot", "--time", "inf"],
     ["verify", "--name", "crot", "--time", "nan"],
     ["verify", "--name", "crot", "--time", "40", "--epsilon0", "inf"],
 ])
-def test_oracle_bad_time_or_count_exits_2(argv, capsys):
+def test_oracle_bad_time_or_count_exits_2(argv, capsys, monkeypatch):
+    # kick checks every count and the time before its reference run
+    import cpn_holonomy.cli as cli
+
+    def no_reference(*args):
+        raise AssertionError("ran the reference propagation before checking the inputs")
+
+    monkeypatch.setattr(cli, "propagate_frames", no_reference)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

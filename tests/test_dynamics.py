@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.stats import unitary_group
 
-from chart_oracle import hamiltonian_at
-from cpn_holonomy import (ControlPoint, GateProgram, GateStep, HamiltonianFamily, KickPlan,
-                          LoopPath, adiabatic_transport, compile_unitary, holonomy,
-                          kick_evolution, primitive_holonomy, program_schedule,
-                          propagate_frames, realize_step_as_loop, two_qubit_gate)
+from chart_oracle import excited_state_batch, hamiltonian_at
+from cpn_holonomy import (ControlPoint, GateProgram, GateStep, HamiltonianFamily, LoopPath,
+                          adiabatic_transport, compile_unitary, holonomy, kick_evolution,
+                          primitive_holonomy, program_schedule, propagate_frames,
+                          realize_step_as_loop, two_qubit_gate)
 from cpn_holonomy import dynamics
-from cpn_holonomy.chart import excited_state_batch, frame_unitary_batch
-from cpn_holonomy.dynamics import MAX_STEPS, _arclength_interpolator, smoothstep
+from cpn_holonomy.chart import frame_unitary_batch
+from cpn_holonomy.dynamics import MAX_STEPS
 from cpn_holonomy.gates import split_step
 from cpn_holonomy.linalg import max_abs_diff, rank1_product, unitarity_defect
+from dynamics_oracle import arclength_interpolator, interp_propagator, kick_nodes, midpoint_nodes
 
 C1_QUARTER = GateStep("C1", 1, None, np.pi / 4)
 
@@ -206,13 +207,13 @@ def test_rank1_stepper_matches_dense_expm(n):
     loop = _random_loop(rng, n)
     total = 30.0
     for steps in (1, 31, 32, 33, 300):
-        th, ph = _arclength_interpolator(loop)(smoothstep((np.arange(steps) + 0.5) / steps))
+        th, ph = arclength_interpolator(loop)(midpoint_nodes(steps))
         expect = _dense_product(fam, th, ph, total / steps)
         assert max_abs_diff(propagate_frames(fam, loop, total, steps), expect) <= 1e-12
 
-        plan = KickPlan.from_loop(loop, total, steps)
-        expect = _dense_product(fam, plan.thetas[:-1], plan.phis[:-1], plan.delta_t)
-        assert max_abs_diff(kick_evolution(fam, plan), expect) <= 1e-12
+        th, ph = arclength_interpolator(loop)(kick_nodes(steps))
+        expect = _dense_product(fam, th, ph, total / steps)
+        assert max_abs_diff(kick_evolution(fam, loop, total, steps), expect) <= 1e-12
 
 
 LEVEL_KINDS = ("free", "dead", "half_pi", "spike")
@@ -259,12 +260,9 @@ def test_live_level_stepping_matches_all_levels(kinds, vertices, steps, seed):
     loop = _loop_with_levels(rng, kinds, vertices)
     fam = HamiltonianFamily(loop.n, epsilon0=1.3)
     total = 20.0
-    th, ph = _arclength_interpolator(loop)(smoothstep((np.arange(steps) + 0.5) / steps))
-    _check_against_all_levels(fam, propagate_frames(fam, loop, total, steps), th, ph,
-                              total / steps)
-    plan = KickPlan.from_loop(loop, total, steps)
-    _check_against_all_levels(fam, kick_evolution(fam, plan), plan.thetas[:-1],
-                              plan.phis[:-1], plan.delta_t)
+    for u, nodes in ((propagate_frames(fam, loop, total, steps), midpoint_nodes(steps)),
+                     (kick_evolution(fam, loop, total, steps), kick_nodes(steps))):
+        _check_against_all_levels(fam, u, *arclength_interpolator(loop)(nodes), total / steps)
 
 
 # ---------- per-edge sampling ----------
@@ -272,15 +270,8 @@ def test_live_level_stepping_matches_all_levels(kinds, vertices, steps, seed):
 def _interp_propagator(fam, loop, total, steps):
     """propagate_frames by np.interp of every live column at every step, then
     excited_state_batch of the angles: the oracle of its per-edge sampling."""
-    live = dynamics._live_levels(loop.thetas)
-    s = smoothstep((np.arange(steps) + 0.5) / steps)
-    v = excited_state_batch(*_arclength_interpolator(loop, live)(s))
-    dt = total / steps
-    block = rank1_product(np.exp(-1j * fam.epsilon0 * dt) - 1.0, v)
-    levels = np.append(live, fam.n)
-    u = np.eye(fam.dim, dtype=complex)
-    u[np.ix_(levels, levels)] = block
-    return u
+    return interp_propagator(fam, loop, total, midpoint_nodes(steps),
+                             dynamics._live_levels(loop.thetas))
 
 
 def _same_bits(a, b):
@@ -421,14 +412,13 @@ def test_schedule_validation(monkeypatch):
 # ---------- kick scheme ----------
 
 def test_kick_all_base_is_free_evolution():
+    # a degenerate loop at one point: every kick cancels
     fam = HamiltonianFamily(2, epsilon0=1.3)
-    pts = np.tile(np.array([0.5, 0.2]), (9, 1))
-    plan = KickPlan(2, 0.25, pts, pts * 0.4)
-    got = kick_evolution(fam, plan)
-    base = np.concatenate([pts[0], pts[0] * 0.4])
-    f0 = frame_unitary_batch(base[:2], base[2:])
-    t = 8 * 0.25
-    expect = f0 @ np.diag([1, 1, np.exp(-1j * 1.3 * t)]) @ f0.conj().T
+    th = np.array([0.5, 0.2])
+    loop = LoopPath(2, np.tile(th, (3, 1)), np.tile(th * 0.4, (3, 1)))
+    got = kick_evolution(fam, loop, 2.0, 8)
+    f0 = frame_unitary_batch(th, th * 0.4)
+    expect = f0 @ np.diag([1, 1, np.exp(-1j * 1.3 * 2.0)]) @ f0.conj().T
     assert max_abs_diff(got, expect) < 1e-12
 
 
@@ -437,44 +427,91 @@ def test_kick_first_order_convergence():
     loop = c1_loop()
     total = 40.0
     ref = propagate_frames(fam, loop, total, 16384)
-    errs = {}
-    for n_int in (250, 500, 1000):
-        plan = KickPlan.from_loop(loop, total, n_int)
-        assert abs(plan.total_time - total) < 1e-12
-        errs[n_int] = max_abs_diff(kick_evolution(fam, plan), ref)
+    errs = {n_int: max_abs_diff(kick_evolution(fam, loop, total, n_int), ref)
+            for n_int in (250, 500, 1000)}
     assert 1.6 < errs[250] / errs[500] < 2.4
     assert 1.6 < errs[500] / errs[1000] < 2.4
 
 
-def kick_code_block(f: HamiltonianFamily, plan: KickPlan) -> np.ndarray:
+def kick_code_block(f: HamiltonianFamily, loop: LoopPath, total: float,
+                    intervals: int) -> np.ndarray:
     """Code-subspace block of the kick propagator, in the base-point frame."""
-    code = frame_unitary_batch(plan.thetas[0], plan.phis[0])[:, : f.n]
-    return code.conj().T @ kick_evolution(f, plan) @ code
+    code = frame_unitary_batch(loop.thetas[0], loop.phis[0])[:, : f.n]
+    return code.conj().T @ kick_evolution(f, loop, total, intervals) @ code
 
 
 def test_kick_plus_adiabatic_reproduces_holonomy():
     # large N, slow traversal: code block of the kick propagator ~ loop holonomy
     fam = HamiltonianFamily(1)
     loop = c1_loop()
-    plan = KickPlan.from_loop(loop, 2000.0, 50000)
-    block = kick_code_block(fam, plan)
+    block = kick_code_block(fam, loop, 2000.0, 50000)
     assert max_abs_diff(block, holonomy(loop, 64).matrix) < 5e-2
 
 
-def test_kick_plan_validation():
-    with pytest.raises(ValueError):
-        KickPlan(1, -0.1, np.zeros((3, 1)), np.zeros((3, 1)))
-    with pytest.raises(ValueError, match="return"):
-        KickPlan(1, 0.1, np.array([[0.0], [0.4]]), np.zeros((2, 1)))
+def test_kick_evolution_validation(monkeypatch):
+    # bad times and interval counts are ValueErrors raised before any sampling
+    def no_sampling(*args):
+        raise AssertionError("sampled before the inputs were checked")
+
+    monkeypatch.setattr(dynamics, "_excited_states", no_sampling)
+    fam, loop = HamiltonianFamily(1), c1_loop()
+    with pytest.raises(ValueError, match="positive"):
+        kick_evolution(fam, loop, -0.1, 10)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            KickPlan(1, bad, np.zeros((3, 1)), np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="finite"):
-            KickPlan.from_loop(c1_loop(), bad, 10)
-    with pytest.raises(ValueError, match="num_intervals"):
-        KickPlan.from_loop(c1_loop(), 10.0, 0)
-    with pytest.raises(ValueError, match="num_intervals must be <="):
-        KickPlan.from_loop(c1_loop(), 10.0, MAX_STEPS + 1)
+            kick_evolution(fam, loop, bad, 10)
+    with pytest.raises(ValueError, match="intervals must be >= 1"):
+        kick_evolution(fam, loop, 10.0, 0)
+    with pytest.raises(ValueError, match="intervals must be <="):
+        kick_evolution(fam, loop, 10.0, MAX_STEPS + 1)
+
+
+@pytest.mark.parametrize("oracle", [propagate_frames, kick_evolution])
+@pytest.mark.parametrize("n_family,n_loop", [(2, 1), (1, 2)])
+def test_oracles_reject_mismatched_dimensions(oracle, n_family, n_loop):
+    # a loop's levels index the family's: a mismatch would embed the steps on
+    # the wrong levels
+    loop = c1_loop(n_loop, 0.5)
+    with pytest.raises(ValueError, match="dimensions disagree"):
+        oracle(HamiltonianFamily(n_family), loop, 10.0, 10)
+    if oracle is propagate_frames:
+        with pytest.raises(ValueError, match="dimensions disagree"):
+            adiabatic_transport(HamiltonianFamily(n_family), loop, 10.0, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(THETA_KINDS), min_size=1, max_size=4),
+       st.lists(st.sampled_from(EDGE_KINDS), min_size=1, max_size=6),
+       st.sampled_from([1, 2, 7, 31, 32, 33, 250]), st.integers(0, 2 ** 32 - 1))
+@example(["free", "half_pi", "zero", "const"], ["axis", "axis", "still", "oblique"], 250, 0)
+@example(["neg_zero", "free"], ["axis", "axis", "axis"], 33, 1)  # -0.0 vertices
+@example(["free", "const"], ["still", "still"], 32, 2)  # a degenerate loop
+@example(["free"], ["axis", "oblique"], 1, 3)
+@example(["zero", "neg_zero"], ["oblique", "still"], 31, 4)  # no live level
+def test_kick_evolution_matches_interp(kinds, edges, intervals, seed):
+    # the kicks are sampled per edge at the left-endpoint nodes; the
+    # propagator is the one of np.interp samples at those nodes
+    rng = np.random.default_rng(seed)
+    loop = _sampled_loop(rng, kinds, edges)
+    fam = HamiltonianFamily(loop.n, epsilon0=1.3)
+    assert np.array_equal(kick_evolution(fam, loop, 20.0, intervals),
+                          interp_propagator(fam, loop, 20.0, kick_nodes(intervals)))
+
+
+@pytest.mark.parametrize("intervals", [1, 3, 5])
+def test_kick_level_live_only_at_an_unhit_vertex(intervals):
+    # theta_2 is nonzero only on the two short edges around vertex 2, between
+    # kick nodes: the per-edge route steps it (live at a vertex), the np.interp
+    # route at the nodes does not, and the propagators agree
+    th = np.array([[0.3, 0.0], [1.2, 0.0], [1.2, 0.01], [1.2, 0.0], [0.3, 0.0]])
+    loop = LoopPath(2, th, np.full((5, 2), 0.7))
+    fam = HamiltonianFamily(2, epsilon0=1.3)
+    nodes = kick_nodes(intervals)
+    assert np.all(arclength_interpolator(loop)(nodes)[0][:, 1] == 0.0)
+    assert list(dynamics._live_levels(loop.thetas)) == [0, 1]
+    u = kick_evolution(fam, loop, 20.0, intervals)
+    assert np.array_equal(u, interp_propagator(fam, loop, 20.0, nodes))
+    assert np.array_equal(u[1], [0, 1, 0]) and np.array_equal(u[:, 1], [0, 1, 0])
 
 
 @settings(max_examples=20, deadline=None)
@@ -490,7 +527,6 @@ def test_phi_shift_conjugates_both_propagators(n, seed):
     p = np.append(np.exp(1j * shift), 1.0)
     fam = HamiltonianFamily(n, epsilon0=1.3)
     base, moved = LoopPath(n, th, ph), LoopPath(n, th, ph + shift)
-    u, v = (propagate_frames(fam, loop, 20.0, 200) for loop in (base, moved))
-    assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12
-    u, v = (kick_evolution(fam, KickPlan.from_loop(loop, 20.0, 200)) for loop in (base, moved))
-    assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12
+    for oracle in (propagate_frames, kick_evolution):
+        u, v = (oracle(fam, loop, 20.0, 200) for loop in (base, moved))
+        assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12

@@ -13,7 +13,7 @@ from cpn_holonomy import (AreaRangeError, GateProgram, GateStep, compile_u2_bloc
 from cpn_holonomy import gates
 from cpn_holonomy.gates import embed_two_level, givens_decompose
 from cpn_holonomy.linalg import dist_up_to_phase, unitarity_defect
-from cpn_holonomy.loops import FAMILIES
+from cpn_holonomy.loops import CLOSURE_TOL, FAMILIES
 from helpers import program_schedule_by_parts
 
 
@@ -219,6 +219,29 @@ def test_program_schedule_of_named_and_compiled_programs_matches_per_part_builde
             _schedules_agree(two_qubit_gate(name, sigma1=sigma1, sigma3=sigma3))
     for n in (2, 3, 4, 5, 6):
         _schedules_agree(compile_unitary(random_unitary(rng, n), n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(1, 3), st.floats(-1e-11, 1e-11), st.booleans())
+@example("C3", 1, 5e-13 / (np.pi / 2), False)  # pi/2 + 5e-13: over pi/2 as a theta extent
+@example("C1", 2, 5e-13, True)  # two parts would each be over capacity
+@example("C4", 3, 0.0, False)
+def test_areas_near_whole_capacities_schedule(family, k, rel, negative):
+    # the rectangle check, the part count and LoopPath's theta bound share one
+    # tolerance: an area near k capacities is cut into the fewest parts that
+    # each fit one rectangle, and its loop carries the closed form
+    beta, beta_bar = {"C1": (2, None), "C2": (1, 3), "C3": (3, 2), "C4": (1, 2)}[family]
+    cap = gates.MAX_RECT_AREA[family]
+    area = (-1.0 if negative else 1.0) * k * cap * (1.0 + rel)
+    step = GateStep(family, beta, beta_bar, area)
+    parts = gates.split_step(step)
+    fits = cap + CLOSURE_TOL
+    assert abs(parts[0].area) <= fits
+    assert len(parts) == 1 or abs(area) / (len(parts) - 1) > fits
+    assert len(parts) in (k, k + 1)
+    realize_step_as_loop(parts[0], 3)
+    prog = GateProgram(3, (step,))
+    assert prog.evaluate_integrated(1).distance(prog.evaluate()) <= 1e-13
 
 
 # ---------- single-block compiler ----------
