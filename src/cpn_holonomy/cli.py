@@ -474,7 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="code dimension")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--kind", choices=("random-rects", "segments"), default="random-rects")
+    p.add_argument("--kind", choices=("random-rects", "segments"), default="random-rects",
+                   help="segments: --cases rows of a --loop file's distance to its closed "
+                        "form, the segment count doubling from --segments; on oblique "
+                        "loops (edges moving two or more coordinates) it falls about 16x "
+                        "a row, and single-coordinate phi edges off the origin stay "
+                        "second order")
     p.add_argument("--family", choices=FAMILIES, help="random-rects only")
     p.add_argument("--cases", type=int, default=8)
     p.add_argument("--segments", type=int, default=64)

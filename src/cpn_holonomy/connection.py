@@ -11,8 +11,10 @@ R_b† d R_b by the prefix frame R_{b-1} ... R_1. On the code this is a
 rank <= 3 term built from the unit vector u_b and w_b, row n+1 of the
 prefix frame. Only the levels a batch touches (the moving ones and the
 support of their w_b) are returned; every other entry is exactly zero.
-connection_analytic evaluates it on the 2n unit directions, and the loop
-integrator on its segment midpoints.
+The terms are added elementwise over the batch, level by level, with real
+cos and sin. connection_analytic evaluates it on the 2n unit directions,
+and the loop integrator on its segment nodes (midpoints, or two Gauss nodes
+per segment of an oblique edge).
 
 The test suite checks the closed form against an independent route, central
 differences of the closed-form frame (tests/connection_oracle.py), and
@@ -60,8 +62,15 @@ def connection_along(theta: np.ndarray, phi: np.ndarray, d_theta: np.ndarray,
     columns (w_1 = 0, w_{b+1} = c_b w_b - s_b conj(e_b) u_b), level b adds
     k11 u_b u_b^T + k12 u_b w_b^T - conj(k12) conj(w_b) u_b^T - k11 conj(w_b) w_b^T,
     k11 = -i s_b^2 d_phi_b, k12 = e_b (d_theta_b + i c_b s_b d_phi_b). Only
-    levels whose coordinates vary contribute; they and the support of their
-    w_b are the touched levels.
+    levels whose coordinates vary contribute. They and the support of their
+    w_b are the touched levels: below the highest moving level, every level
+    whose theta is nonzero somewhere in the batch.
+
+    The sum is built in place, one moving level b at a time and a fixed
+    number of elementwise numpy calls each: k11 on the diagonal, row b =
+    k12 w_b, column b = -conj(row b) and -k11 conj(w_b) (x) w_b on the levels
+    below b. w_b is carried up the levels by the recurrence. A batch that
+    touches one level needs sin(theta) only.
     """
     theta, phi, d_theta, d_phi = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (theta, phi, d_theta, d_phi)))
@@ -73,30 +82,34 @@ def connection_along(theta: np.ndarray, phi: np.ndarray, d_theta: np.ndarray,
     # throughout has c = 1, s = 0 and enters none either, so both are dropped.
     top = np.flatnonzero(moving)[-1]
     cand = np.flatnonzero((moving | np.any(theta != 0, axis=batch_axes))[: top + 1])
-    c, s, e = np.cos(theta[..., cand]), np.sin(theta[..., cand]), np.exp(1j * phi[..., cand])
-    var = np.flatnonzero(moving[cand])  # positions in cand of the moving levels
-    w = np.zeros(c.shape, dtype=complex)
-    rows = []
-    for j in range(cand.size):
-        if moving[cand[j]]:
-            rows.append(w.copy())
-        w[..., :j] *= c[..., j, None]
-        w[..., j] = -s[..., j] * e[..., j].conj()
-    w = np.stack(rows, axis=-2)  # (..., v, len(cand)): w_b of each moving level b
-    keep = np.flatnonzero(np.any(w != 0, axis=batch_axes + (w.ndim - 2,)) | moving[cand])
-    w = w[..., keep]
-
-    sv, cv, ev = s[..., var], c[..., var], e[..., var]
-    dth, dph = d_theta[..., cand[var]], d_phi[..., cand[var]]
-    k11 = (-1j * sv ** 2 * dph)[..., None]
-    k12 = (ev * (dth + 1j * cv * sv * dph))[..., None]
-    u = np.zeros((var.size, keep.size))
-    u[np.arange(var.size), np.searchsorted(keep, var)] = 1.0  # u_b of each moving level
-    # sum_b [u_b, conj(w_b)] [[k11, k12], [-conj(k12), -k11]] [u_b, w_b]^T as one product
-    left = np.concatenate([np.broadcast_to(u, w.shape), w.conj()], axis=-2).swapaxes(-1, -2)
-    right = np.concatenate([k11 * u + k12 * w, -k12.conj() * u - k11 * w], axis=-2)
-    block = left @ right
-    return cand[keep], block
+    s = np.sin(theta[..., cand])
+    dth, dph = d_theta[..., cand], d_phi[..., cand]
+    q = s ** 2 * dph  # k11 = -i q
+    k = cand.size
+    block = np.zeros(theta.shape[:-1] + (k, k), dtype=complex)
+    block.imag[..., range(k), range(k)] = -q
+    if k == 1:  # w_1 = 0, so k11 is all a single level adds
+        return cand, block
+    c = np.cos(theta[..., cand])
+    ec, es = np.cos(phi[..., cand]), np.sin(phi[..., cand])  # e = ec + i es
+    p = c * s * dph
+    k12 = np.empty(c.shape, dtype=complex)
+    k12.real, k12.imag = ec * dth - es * p, es * dth + ec * p
+    neg_k11 = 1j * q
+    w_next = np.empty(c.shape, dtype=complex)  # -s_b conj(e_b), level b's entry of w_{b+1}
+    w_next.real, w_next.imag = -s * ec, s * es
+    w = np.empty(c.shape, dtype=complex)  # w_b on levels :b when the loop reaches b
+    for b, moves in enumerate(moving[cand].tolist()):
+        wb = w[..., :b]
+        if moves and b:  # row b, column b and the outer term on levels :b
+            row = k12[..., b, None] * wb
+            block[..., b, :b] = row
+            block[..., :b, b] = -row.conj()
+            outer = (neg_k11[..., b, None] * wb.conj())[..., :, None] * wb[..., None, :]
+            block[..., :b, :b] += outer
+        wb *= c[..., b, None]
+        w[..., b] = w_next[..., b]
+    return cand, block
 
 
 def connection_analytic(p: ControlPoint) -> ConnectionValue:

@@ -37,8 +37,9 @@ coordinate per edge, so its nodes pay two trig evaluations each instead of
 four per live level.
 
 The stepper (linalg.rank1_product) applies the steps in place,
-x <- x + (e^{-i epsilon0 dt} - 1) v (v† x), to chunks of linalg.CHUNK
-consecutive steps at once: O(d^2) per step, and no d x d factor is formed.
+x <- x + (e^{-i epsilon0 dt} - 1) v (v† x), to chunks of consecutive steps
+at once (linalg.rank1_chunk sets their length from the step count): O(d^2)
+per step, and no d x d factor is formed.
 The chunk products are then multiplied in time order. Step and interval
 counts above MAX_STEPS are input errors, raised before any sampling; this
 includes the count that adiabatic_transport raises to keep

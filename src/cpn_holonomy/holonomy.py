@@ -1,16 +1,31 @@
 """Path-ordered loop holonomies on the code subspace.
 
-The engine discretizes each polyline edge into sub-segments, evaluates the
-connection at every segment midpoint and composes the segment exponentials
+The engine discretizes each polyline edge into sub-segments and composes one
+exact exponential per segment,
 
-    U = exp(-sum_mu A^mu(mid_m) dlam_mu,m) ... exp(-sum_mu A^mu(mid_1) dlam_mu,1)
+    U = exp(Omega_m) ... exp(Omega_1),
 
-with later segments multiplying on the left. The minus sign makes the result
-the transformation physically acquired by the code coefficients under
-adiabatic transport (the dynamics module integrates the Schrodinger equation
-around the same loops and reproduces these matrices); with the signed-area
-conventions of loops.py it also reproduces the closed-form single-generator
-holonomies of all four loop families.
+with later segments multiplying on the left. Each Omega is built from
+G = -A_delta, the connection along the segment, A_delta = sum_mu A^mu dlam_mu:
+
+- on an edge that moves one chart coordinate, Omega = G at the segment
+  midpoint;
+- on an oblique edge, one that moves two or more coordinates (circles,
+  polygons, generic loops), Omega is the fourth-order Magnus term of the two
+  Gauss-Legendre nodes at 1/2 -+ sqrt(3)/6 of the segment,
+
+      Omega = (G1 + G2)/2 + (sqrt(3)/12) [G2, G1],   G_i = -A_delta(node_i)
+
+  (Blanes, Casas, Oteo & Ros, "The Magnus expansion and some of its
+  applications", Phys. Rep. 470 (2009) 151; Iserles, Munthe-Kaas, Norsett &
+  Zanna, "Lie-group methods", Acta Numerica 9 (2000) 215).
+
+The minus sign makes the result the transformation physically acquired by
+the code coefficients under adiabatic transport (the dynamics module
+integrates the Schrodinger equation around the same loops and reproduces
+these matrices); with the signed-area conventions of loops.py it also
+reproduces the closed-form single-generator holonomies of all four loop
+families.
 
 The generators come from connection.connection_along, which returns them
 on the levels a batch of segments touches: the levels whose coordinates
@@ -23,16 +38,19 @@ the exponentials and the ordered product are closed forms evaluated
 elementwise over the segments (linalg); only k >= 3 goes through eigh and
 batched matmul.
 
-The segments are integrated in blocks of at most BLOCK_ENTRIES / k^2, in
-traversal order, so the arrays built at once stay near a fixed size
-whatever the segment count. Each block is exponentiated and multiplied on
-the levels it touches, which can be fewer than the loop's (a gate program's
-loop touches four levels, each of its steps two); the block products are
-embedded in the union of those levels and multiplied in time order.
+The segments are integrated in blocks, in traversal order, of at most
+BLOCK_ENTRIES / k^2 connection nodes: two per segment of an oblique edge,
+one per segment of the others. A block holds BLOCK_ENTRIES / (2 k^2)
+segments when some live edge is oblique and twice that when none is, so the
+arrays built at once stay near a fixed size whatever the segment count.
+Each block is exponentiated and multiplied on the levels it touches, which
+can be fewer than the loop's (a gate program's loop touches four levels,
+each of its steps two); the block products are embedded in the union of
+those levels and multiplied in time order.
 
 Levels that never move and have theta == 0 at every vertex are not passed
 to connection_along at all: they would add nothing to any generator, and it
-would drop them itself after building their segment midpoints.
+would drop them itself after building their node coordinates.
 
 Edges on which every generator is exactly zero are dropped before any
 connection is evaluated (see _silent_edges): the connector legs of a gate
@@ -40,8 +58,13 @@ program's loop, which set up and tear down its frozen coordinates, transport
 nothing, and they are most of its edges. Their identity factors are left
 out of the product.
 
-Midpoint evaluation with one exact exponential per segment is second-order
-accurate in the segment length; every factor is unitary by construction, so
+Oblique edges converge at fourth order in the segment length: their error
+falls about 16x per segment doubling. The midpoint is exact on an edge whose
+generator is constant along it, which holds on every theta edge and on the
+phi edges of the family planes and of gate programs: rectangles and program
+loops are segment-exact, and a second node would only add cost. A phi edge
+off those planes has a rotating generator, and there the midpoint stays
+second order (ROADMAP item 2). Every factor is unitary by construction, so
 the only unitarity defect is accumulated roundoff (reported, and removed by
 polar projection when above threshold).
 """
@@ -60,9 +83,12 @@ REJECT_DEFECT = 1e-6
 # most edges x segments per edge x n^2 one holonomy may take; it bounds the
 # run time (memory is bounded by the blocks)
 MAX_SEGMENT_ENTRIES = 2 ** 22
-# segments x k^2 integrated as one block, k the levels that are not idle:
-# connection_along builds 100-200 bytes per entry, so a block stays below ~2 MB
+# connection nodes x k^2 integrated as one block, k the levels that are not
+# idle; a block's arrays stay near 2 MB
 BLOCK_ENTRIES = 2 ** 13
+# the two Gauss-Legendre nodes of a segment sit at 1/2 -+ GAUSS_OFFSET of it
+GAUSS_OFFSET = np.sqrt(3.0) / 6
+MAGNUS_WEIGHT = np.sqrt(3.0) / 12  # of the commutator in the fourth-order Magnus term
 
 
 class UnitarityError(ValueError):
@@ -130,7 +156,7 @@ def _silent_edges(th: np.ndarray, ph: np.ndarray, segments_per_edge: int) -> np.
     Level b adds k11 (u_b u_b^T - conj(w_b) w_b^T) + k12 u_b w_b^T - conj(k12)
     conj(w_b) u_b^T (connection.connection_along), k11 = -i sin^2(theta_b)
     d_phi_b and k12 = e^{i phi_b} (d_theta_b + i cos(theta_b) sin(theta_b) d_phi_b).
-    theta_b is exactly zero on every midpoint of an edge whose ends both have
+    theta_b is exactly zero on every node of an edge whose ends both have
     theta_b == 0, and w_b is then zero if that holds for every level below b.
     So level b adds exact zeros when d_phi_b == 0 or theta_b == 0 on the
     edge, and d_theta_b == 0 or w_b == 0 on it. A level that does not move
@@ -144,20 +170,41 @@ def _silent_edges(th: np.ndarray, ph: np.ndarray, segments_per_edge: int) -> np.
     return np.all(((d_ph == 0) | flat) & ((d_th == 0) | below), axis=1)
 
 
-def _block_generators(th: np.ndarray, ph: np.ndarray, edge: np.ndarray, seg: np.ndarray,
-                      segments_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
-    """Touched columns and transport generators -A(mid) . dlam of one block.
+def _oblique_edges(th: np.ndarray, ph: np.ndarray) -> np.ndarray:
+    """Edges of the polyline (th, ph) that move two or more chart coordinates."""
+    return (np.count_nonzero(th[1:] != th[:-1], axis=1)
+            + np.count_nonzero(ph[1:] != ph[:-1], axis=1)) >= 2
+
+
+def _block_generators(th: np.ndarray, ph: np.ndarray, oblique: np.ndarray, edge: np.ndarray,
+                      seg: np.ndarray, segments_per_edge: int) -> tuple[np.ndarray, np.ndarray]:
+    """Touched columns and the exponents of the segment factors of one block.
 
     Segment i of the block is sub-segment seg[i] of the edge from vertex
-    edge[i] to edge[i] + 1 of the polyline (th, ph); the generators are in
-    that order.
+    edge[i] to edge[i] + 1 of the polyline (th, ph); the exponents are in
+    that order. On an edge that oblique[edge] marks, the exponent is the
+    fourth-order Magnus term (G1 + G2)/2 + (sqrt3/12) [G2, G1] of the two
+    Gauss nodes; on the others it is G at the midpoint. G = -A_delta(node).
+    Both nodes of every segment go through one connection_along call: the
+    first node (or midpoint) of each segment, then the second node of the
+    oblique ones.
     """
     s = segments_per_edge
-    d_th, d_ph = th[edge + 1] - th[edge], ph[edge + 1] - ph[edge]
-    frac = ((seg + 0.5) / s)[:, None]
-    levels, block = connection_along(th[edge] + d_th * frac, ph[edge] + d_ph * frac,
-                                     d_th / s, d_ph / s)
-    return levels, -block
+    two = np.flatnonzero(oblique[edge])
+    node = np.concatenate([seg + 0.5 - GAUSS_OFFSET * oblique[edge], seg[two] + 0.5 + GAUSS_OFFSET])
+    at = np.concatenate([edge, edge[two]])
+    d_th, d_ph = np.diff(th, axis=0)[at], np.diff(ph, axis=0)[at]
+    frac = (node / s)[:, None]
+    levels, a = connection_along(th[at] + d_th * frac, ph[at] + d_ph * frac, d_th / s, d_ph / s)
+    g = -a[:edge.size]
+    if two.size:  # from A_i = -G_i: Omega = -(A1 + A2)/2 + (sqrt3/12) [A2, A1]
+        a1, a2 = a[two], a[edge.size:]
+        omega = a1 + a2
+        omega *= -0.5
+        if levels.size > 1:  # 1 x 1 generators commute
+            omega += MAGNUS_WEIGHT * (linalg._matmul(a2, a1) - linalg._matmul(a1, a2))
+        g[two] = omega
+    return levels, g
 
 
 def check_segment_budget(edges: float, segments_per_edge: int, n: int):
@@ -172,8 +219,8 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     """Loop holonomy on the n-dimensional code, by ordered segment exponentials.
 
     The segments of the live edges go in blocks of at most BLOCK_ENTRIES /
-    k^2, k the levels left after dropping the idle ones (see the module
-    docstring).
+    k^2 connection nodes, k the levels left after dropping the idle ones
+    (see the module docstring).
     """
     if segments_per_edge < 1:
         raise ValueError("segments_per_edge must be >= 1")
@@ -188,11 +235,13 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     cols = np.flatnonzero(np.any(loop.thetas != 0, axis=0)
                           | np.any(loop.phis != loop.phis[0], axis=0))
     th, ph = loop.thetas[:, cols], loop.phis[:, cols]
-    per_block = max(1, BLOCK_ENTRIES // cols.size ** 2)
+    oblique = _oblique_edges(th, ph)
+    nodes = 2 if oblique[edges].any() else 1  # connection nodes per segment, at most
+    per_block = max(1, BLOCK_ENTRIES // (nodes * cols.size ** 2))
     blocks = []  # (levels, ordered product on them), in time order
     for first in range(0, edges.size * s, per_block):
         j = np.arange(first, min(first + per_block, edges.size * s))
-        levels, gens = _block_generators(th, ph, edges[j // s], j % s, s)
+        levels, gens = _block_generators(th, ph, oblique, edges[j // s], j % s, s)
         if levels.size:
             blocks.append((cols[levels], linalg.fold_left(linalg.expm_antihermitian(gens))))
     if blocks:  # else every edge is silent

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-CHUNK = 32  # rank-1 steps accumulated in place per chunk; outputs depend on it at roundoff
+CHUNK = 32  # most rank-1 steps accumulated in place per chunk; outputs depend on it at roundoff
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -105,21 +105,36 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def rank1_chunk(m: int) -> int:
+    """Steps per chunk of rank1_product on a run of m steps.
+
+    A run of up to CHUNK steps is one chunk. A longer one takes m // 128
+    within [4, CHUNK], so that about 128 chunks run side by side: a kick row
+    of 250-1000 steps pays 4-7 Python-level iterations instead of CHUNK, and
+    from 4096 steps on every chunk holds CHUNK steps and the chunks grow in
+    number.
+    """
+    if m <= CHUNK:
+        return max(m, 1)
+    return min(CHUNK, max(4, m // 128))
+
+
 def rank1_product(a: complex, v: np.ndarray) -> np.ndarray:
     """Ordered product of the steps I + a |v_j><v_j| over the rows of v, later left.
 
     v has shape (M, d). The M steps are cut into K consecutive chunks of
-    CHUNK, the last one padded with zero rows, which are exact identity
-    steps. All K chunk products accumulate at once in a batch-last (d, d, K)
-    array, x <- x + a v_j (v_j† x) for j = 0..CHUNK-1: O(d^2) per step
+    L = rank1_chunk(M), the last one padded with zero rows, which are exact
+    identity steps. All K chunk products accumulate at once in a batch-last
+    (d, d, K) array, x <- x + a v_j (v_j† x) for j = 0..L-1: O(d^2) per step
     instead of a d x d factor and a d^3 product. fold_left then multiplies
     the K chunk products in time order.
     """
     m, d = v.shape
-    k, tail = divmod(m, CHUNK)
-    w = np.zeros((CHUNK, d, k + (tail > 0)), dtype=complex)  # w[j, :, c] = v[c * CHUNK + j]
-    w[:, :, :k] = v[: k * CHUNK].reshape(k, CHUNK, d).transpose(1, 2, 0)
-    w[:tail, :, k:] = v[k * CHUNK:, :, None]
+    chunk = rank1_chunk(m)
+    k, tail = divmod(m, chunk)
+    w = np.zeros((chunk, d, k + (tail > 0)), dtype=complex)  # w[j, :, c] = v[c * chunk + j]
+    w[:, :, :k] = v[: k * chunk].reshape(k, chunk, d).transpose(1, 2, 0)
+    w[:tail, :, k:] = v[k * chunk:, :, None]
     x = np.zeros((d,) + w.shape[1:], dtype=complex)
     x[np.arange(d), np.arange(d)] = 1.0
     s = np.empty(w.shape[1:], dtype=complex)

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from cpn_holonomy.linalg import CHUNK, complex_pairs, expm_antihermitian, fold_left, \
-    rank1_product
+    rank1_chunk, rank1_product
 
 
 def random_unitaries(rng, m, d):
@@ -86,12 +86,19 @@ def test_fold_left_empty_raises_value_error():
         fold_left(np.zeros((0, 3, 3), dtype=complex))
 
 
+def test_rank1_chunk_grows_with_the_run_up_to_chunk():
+    assert [rank1_chunk(m) for m in (1, 5, CHUNK, CHUNK + 1, 639, 640, 1001, 4095, 4096,
+                                     10 ** 6)] == [1, 5, CHUNK, 4, 4, 5, 7, 31, CHUNK, CHUNK]
+
+
 @pytest.mark.parametrize("d", [2, 5, 17])
 def test_rank1_product_matches_fold_left_of_factors(d):
-    # step counts below, at and past one chunk, and several chunks with a tail
+    # one chunk up to CHUNK steps; past it, whole chunks and chunks with a
+    # tail at chunk lengths 4 (CHUNK + 1 = 8 x 4 + 1, 36 = 9 x 4), 7 (1001 =
+    # 143 x 7, 1002), 31 (4095 = 132 x 31 + 3) and CHUNK (4096 = 128 x 32, 4097)
     rng = np.random.default_rng(70 + d)
     a = np.exp(-0.37j) - 1.0
-    for m in (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1):
+    for m in (1, 3, CHUNK, CHUNK + 1, 36, 1001, 1002, 4095, 4096, 4097):
         v = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         v[rng.random(m) < 0.25] = 0.0  # zero rows are identity steps
