@@ -266,7 +266,6 @@ def cmd_compile(args) -> str:
         "program": program.to_json_dict(),
         "matrix": linalg.complex_pairs(evaluated.matrix),
         "distance_up_to_phase": dist,
-        "residual_phase": program.residual_phase,
         "within_tol": bool(dist < args.tol),
     })
 

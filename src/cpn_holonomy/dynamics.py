@@ -121,9 +121,8 @@ def _edge_trig(knots: np.ndarray, values: np.ndarray, s: np.ndarray):
     vertex's cos and sin; so do the runs outside the knots, which hold the
     end values. Only where a column moves are cos and sin evaluated, at each
     sample, on that formula's value. A -0.0 vertex is the one value the
-    formula changes: it gives +0.0 off the knot and -0.0 on it, so a column
-    with one is interpolated in full, its signs of zero as np.interp gives
-    them, before its cos and sin are taken.
+    formula changes (+0.0 off the knot, -0.0 on it), so a column with one
+    goes through np.interp itself.
     """
     first = np.searchsorted(s, knots)
     lengths = np.diff(first, prepend=0, append=s.size)
@@ -144,13 +143,7 @@ def _edge_trig(knots: np.ndarray, values: np.ndarray, s: np.ndarray):
     def column(c):
         moving = slice(bounds[c], bounds[c + 1])
         if signed_zero[c]:
-            angle = np.repeat(table[c], lengths)
-            angle[first[0]:first[-1]] += 0.0  # slope * (s - knot) + -0.0 is +0.0
-            angle[rows[moving]] = x[moving]
-            # a sample on the knot of its run keeps the knot's value as given
-            hits = np.minimum(np.searchsorted(s, knots, "right"), first + lengths[1:]) - first
-            on_knot = np.repeat(first - np.cumsum(hits) + hits, hits) + np.arange(hits.sum())
-            angle[on_knot] = np.repeat(values[:, c], hits)
+            angle = np.interp(s, knots, values[:, c])
             return np.cos(angle), np.sin(angle)
         cos, sin = np.repeat(cos_table[c], lengths), np.repeat(sin_table[c], lengths)
         cos[rows[moving]] = np.cos(x[moving])
@@ -254,8 +247,10 @@ def adiabatic_transport(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     leakage = 1.0 - np.sum(np.abs(m) ** 2, axis=0)
     defect = linalg.unitarity_defect(m)
     if np.any(leakage > LEAKAGE_BOUND):
-        warnings.warn(f"leakage up to {float(np.max(leakage)):.3e} exceeds "
-                      f"{LEAKAGE_BOUND:.0e}: run may be non-adiabatic", stacklevel=2)
+        # one text for every call (the values are in the diagnostics), so a
+        # repeated call adds nothing to the caller's warning registry
+        warnings.warn(f"leakage exceeds {LEAKAGE_BOUND:.0e}: run may be non-adiabatic",
+                      stacklevel=2)
     transport = UnitaryMatrix(f.n, linalg.polar_project(m), defect)
     return transport, TransportDiagnostics(leakage, defect, total_time, steps)
 

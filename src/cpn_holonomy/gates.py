@@ -25,7 +25,10 @@ program_schedule builds that loop in one pass, from the same rectangle
 rules as realize_step_as_loop (_rectangle: extents and orientation), and
 validates one LoopPath.
 Diagonal phases on a single level b are realized as C1(b, -gamma) [phase
-e^{i gamma}], which is what the compilers lean on.
+e^{i gamma}]. The compilers use C1 and C3 alone, the phases and real
+rotations of a Reck mesh (Reck, Zeilinger, Bernstein & Bertani, Phys. Rev.
+Lett. 73 (1994) 58): compile_u2_block is one two-level elimination step,
+and compile_unitary calls it once per Givens factor of its target.
 """
 from __future__ import annotations
 
@@ -199,7 +202,6 @@ class GateProgram:
 
     n: int
     steps: tuple[GateStep, ...]
-    residual_phase: float = 0.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -220,8 +222,7 @@ class GateProgram:
         return holonomy(program_schedule(self), segments_per_edge)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "steps": [s.to_json_dict() for s in self.steps],
-                "residual_phase": float(self.residual_phase)}
+        return {"n": self.n, "steps": [s.to_json_dict() for s in self.steps]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GateProgram":
@@ -229,7 +230,10 @@ class GateProgram:
                                None if s.get("beta_bar") is None
                                else json_int(s["beta_bar"], "beta_bar"), float(s["area"]))
                       for s in d["steps"])
-        return cls(json_int(d["n"], "n"), steps, float(d.get("residual_phase", 0.0)))
+        if float(d.get("residual_phase", 0.0)) != 0.0:
+            raise ValueError("a nonzero residual_phase is not supported: a program's "
+                             "matrix is the product of its steps")
+        return cls(json_int(d["n"], "n"), steps)
 
 
 def program_schedule(program: GateProgram) -> LoopPath:
@@ -278,39 +282,15 @@ def _wrap_angle(x: float) -> float:
     return np.pi if y == -np.pi else y
 
 
-def _zyz_angles(u: np.ndarray) -> tuple[float, float, float, float]:
-    """(delta, a, b, c) with U = e^{i delta} Rz(a) Ry(b) Rz(c)."""
-    det = np.linalg.det(u)
-    delta = 0.5 * np.angle(det)
-    v = u * np.exp(-1j * delta)
-    b = 2.0 * np.arctan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[1, 0]) < 1e-12:  # diagonal
-        return delta, -2.0 * np.angle(v[0, 0]), 0.0, 0.0
-    if abs(v[0, 0]) < 1e-12:  # anti-diagonal
-        return delta, 2.0 * np.angle(v[1, 0]), np.pi, 0.0
-    a = -np.angle(v[0, 0]) + np.angle(v[1, 0])
-    c = -np.angle(v[0, 0]) - np.angle(v[1, 0])
-    return delta, a, b, c
-
-
-def _diag_pair(beta: int, beta_bar: int, p: float, q: float) -> list[GateStep]:
-    """Steps realizing diag(e^{ip}, e^{iq}) on the (beta, beta_bar) block exactly."""
-    steps = []
-    p, q = _wrap_angle(p), _wrap_angle(q)
-    if abs(p) > _ZERO_AREA:
-        steps.append(GateStep("C2", beta, beta_bar, p))
-    if abs(q) > _ZERO_AREA:
-        steps.append(GateStep("C1", beta_bar, None, -q))
-    return steps
-
-
 def compile_u2_block(target: np.ndarray, beta: int, beta_bar: int, n: int) -> GateProgram:
     """Compile a 2x2 unitary on levels (beta, beta_bar), beta < beta_bar <= n.
 
-    ZYZ factorization: the two z-factors become diagonal C2/C1 pairs, the
-    y-factor a single C3 step, and the global phase of the block is folded
-    into the left diagonal pair, so the evaluated program reproduces the
-    embedded target exactly (residual phase zero) in at most five steps.
+    One two-level Reck step. A C1 phase on beta_bar gives the first column's
+    two entries one phase; a C3 rotation by t in [0, pi/2] then zeroes its
+    lower entry, and what is left is a diagonal, one C1 per level. The
+    program runs the inverses, diagonal first, so it reproduces the embedded
+    target exactly in at most four C1/C3 steps; steps of zero area are left
+    out.
     """
     if not 1 <= beta < beta_bar <= n:
         raise ValueError(f"need 1 <= beta < beta_bar <= n, got ({beta}, {beta_bar}, n={n})")
@@ -319,13 +299,15 @@ def compile_u2_block(target: np.ndarray, beta: int, beta_bar: int, n: int) -> Ga
         raise ValueError("target must be a 2x2 matrix")
     if linalg.unitarity_defect(target) > 1e-9:
         raise ValueError("target is not unitary to 1e-9")
-    delta, a, b, c = _zyz_angles(target)
-    steps: list[GateStep] = []
-    steps += _diag_pair(beta, beta_bar, -c / 2, c / 2)  # right factor acts first
-    if abs(b) > _ZERO_AREA:
-        steps.append(GateStep("C3", beta, beta_bar, b / 2))
-    steps += _diag_pair(beta, beta_bar, delta - a / 2, delta + a / 2)
-    return GateProgram(n, tuple(steps), residual_phase=0.0)
+    (a, b), (c, d) = target
+    t = float(np.arctan2(abs(c), abs(a)))  # the C3 angle that zeroes c
+    lift = float(np.angle(c) - np.angle(a)) if t > _ZERO_AREA else 0.0  # c's phase to a's
+    last = np.cos(t) * d * np.exp(-1j * lift) - np.sin(t) * b  # lower entry of the diagonal
+    steps = (GateStep("C1", beta, None, -_wrap_angle(np.angle(a))),
+             GateStep("C1", beta_bar, None, -_wrap_angle(np.angle(last))),
+             GateStep("C3", beta, beta_bar, t),
+             GateStep("C1", beta_bar, None, -_wrap_angle(lift)))
+    return GateProgram(n, tuple(s for s in steps if abs(s.area) > _ZERO_AREA))
 
 
 def embed_two_level(u2: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
@@ -368,12 +350,13 @@ def givens_decompose(u: np.ndarray, tol: float = 1e-12):
 
 
 def compile_unitary(u: np.ndarray, n: int) -> GateProgram:
-    """Compile an arbitrary n x n unitary into primitive steps (exact).
+    """Compile an arbitrary n x n unitary into C1 and C3 steps (exact).
 
-    Two-level factorization followed by per-block compilation; the final
-    diagonal is realized as single-level C1 phase loops. Step count grows
-    with the square of the dimension for dense targets, which is what the
-    monolithic-encoding cost reports measure.
+    Two-level factorization, then one compile_u2_block call per factor; the
+    final diagonal is realized as single-level C1 phase loops. No step
+    freezes a coordinate, so the program's loop has no connector legs. Step
+    count grows with the square of the dimension for dense targets, which is
+    what the monolithic-encoding cost reports measure.
     """
     factors, diag = givens_decompose(np.asarray(u, dtype=complex))
     steps: list[GateStep] = []
@@ -383,13 +366,10 @@ def compile_unitary(u: np.ndarray, n: int) -> GateProgram:
             steps.append(GateStep("C1", j + 1, None, -gamma))
     for i, j, g in reversed(factors):  # then T_K†, ..., T_1†
         steps.extend(compile_u2_block(g.conj().T, i, j, n).steps)
-    return GateProgram(n, tuple(steps), residual_phase=0.0)
+    return GateProgram(n, tuple(steps))
 
 
 # ---------- named two-qubit constructions (n = 4) ----------
-
-QUBIT_BASIS = ("00", "01", "10", "11")  # |00> = level 1 ... |11> = level 4
-
 
 def _uph_steps(beta: int, beta_bar: int, sigma1: float, sigma3: float) -> list[GateStep]:
     """Conjugated rotation D R D^{-1} on the (beta, beta_bar) block.

@@ -45,8 +45,8 @@ segments when some live edge is oblique and twice that when none is, so the
 arrays built at once stay near a fixed size whatever the segment count.
 Each block is exponentiated and multiplied on the levels it touches, which
 can be fewer than the loop's (a gate program's loop touches four levels,
-each of its steps two); the block products are embedded in the union of
-those levels and multiplied in time order.
+each of its steps two), and its product multiplies those rows of the
+result as soon as it is formed.
 
 Levels that never move and have theta == 0 at every vertex are not passed
 to connection_along at all: they would add nothing to any generator, and it
@@ -238,17 +238,10 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     oblique = _oblique_edges(th, ph)
     nodes = 2 if oblique[edges].any() else 1  # connection nodes per segment, at most
     per_block = max(1, BLOCK_ENTRIES // (nodes * cols.size ** 2))
-    blocks = []  # (levels, ordered product on them), in time order
     for first in range(0, edges.size * s, per_block):
         j = np.arange(first, min(first + per_block, edges.size * s))
         levels, gens = _block_generators(th, ph, oblique, edges[j // s], j % s, s)
         if levels.size:
-            blocks.append((cols[levels], linalg.fold_left(linalg.expm_antihermitian(gens))))
-    if blocks:  # else every edge is silent
-        levels = np.unique(np.concatenate([lv for lv, _ in blocks]))
-        products = np.tile(np.eye(levels.size, dtype=complex), (len(blocks), 1, 1))
-        for product, (lv, p) in zip(products, blocks):
-            at = np.searchsorted(levels, lv)
-            product[at[:, None], at] = p
-        u[levels[:, None], levels] = linalg.fold_left(products)
+            rows = cols[levels]
+            u[rows] = linalg.fold_left(linalg.expm_antihermitian(gens)) @ u[rows]
     return UnitaryMatrix.from_raw(u)

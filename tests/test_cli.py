@@ -3,6 +3,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -140,6 +141,7 @@ BAD_FILES = {
     "fractional_n_point": {"n": 1.5, "theta": [0.1], "phi": [0.0]},
     "c2_same_index_program": {"n": 2, "steps": [dict(C1_STEP, family="C2", beta_bar=1)]},
     "huge_area_program": {"n": 4, "steps": [dict(C1_STEP, area=1e300)]},
+    "residual_phase_program": {"n": 1, "steps": [C1_STEP], "residual_phase": 0.3},
 }
 
 
@@ -202,6 +204,9 @@ BAD_FILES = {
     ["gate", "--name", "xor", "--tol", "nan"],
     ["gate", "--name", "xor", "--tol", "-1"],
     ["compile", "--target", "{target}", "--beta", "1", "--beta-bar", "2", "--tol=-inf"],
+    # a program's matrix is the product of its steps; a phase beside them would be ignored
+    ["verify", "--program", "{residual_phase_program}", "--time", "1"],
+    ["kick", "--program", "{residual_phase_program}", "--n-list", "10"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(
@@ -247,8 +252,33 @@ def test_compile_subcommand(tmp_path, capsys):
                          "--beta-bar", "2", "--n", "2"], capsys)
     assert code == 0
     d = json.loads(out)
-    assert d["distance_up_to_phase"] < 1e-8
+    assert d["distance_up_to_phase"] < 1e-12
     assert d["within_tol"]
+    assert "residual_phase" not in d and "residual_phase" not in d["program"]
+    assert 1 <= len(d["program"]["steps"]) <= 4
+    assert {s["family"] for s in d["program"]["steps"]} <= {"C1", "C3"}
+
+
+def test_program_file_with_zero_or_no_residual_phase_loads(tmp_path, capsys):
+    program = {"n": 1, "steps": [C1_STEP]}
+    outputs = []
+    for extra in ({}, {"residual_phase": 0.0}, {"residual_phase": 0}):
+        path = tmp_path / "program.json"
+        path.write_text(json.dumps(dict(program, **extra)))
+        outputs.append(run_cli(["verify", "--program", str(path), "--time", "400"], capsys))
+    assert outputs[0][0] == 0
+    assert outputs[1:] == outputs[:1] * 2
+
+
+def test_repeated_verify_warns_with_one_text(capsys):
+    # the leakage warning's text is the same at every T (the values are in the
+    # JSON), so repeated in-process calls add no warning-registry entries
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for time in ("100", "150", "300", "600"):
+            assert run_cli(["verify", "--name", "xor", "--time", time], capsys)[0] == 0
+    texts = {str(w.message) for w in caught}
+    assert len(caught) == 4 and len(texts) == 1, texts
 
 
 def test_compile_evaluates_the_program_once(tmp_path, capsys, monkeypatch):

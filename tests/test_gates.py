@@ -266,7 +266,7 @@ def test_compile_pure_y_rotation_single_c3():
 def test_compile_diagonal_phase_pair():
     target = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
     prog = compile_u2_block(target, 1, 2, 2)
-    assert sorted(s.family for s in prog.steps) == ["C1", "C2"]
+    assert sorted(s.family for s in prog.steps) == ["C1", "C1"]
     assert prog.evaluate().distance(target) < 1e-12
 
 
@@ -278,12 +278,52 @@ def test_compile_soundness_random():
         beta_bar = int(rng.integers(beta + 1, n + 1))
         target = random_unitary(rng, 2)
         prog = compile_u2_block(target, beta, beta_bar, n)
-        assert len(prog.steps) <= 6
+        assert len(prog.steps) <= 4
         embedded = embed_two_level(target, beta, beta_bar, n)
         assert dist_up_to_phase(prog.evaluate().matrix, embedded) < 1e-8
         # the block compiler actually realizes the phase exactly
         assert prog.evaluate().distance(embedded) < 1e-8
-        assert prog.residual_phase == 0.0
+
+
+def _special_u2(kind, phases):
+    """A diagonal or anti-diagonal 2x2 unitary with the given phases, or the identity."""
+    if kind == "identity":
+        return np.eye(2, dtype=complex)
+    m = np.diag(np.exp(1j * np.asarray(phases)))
+    return m if kind == "diagonal" else m[::-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["random", "identity", "diagonal", "anti-diagonal"]),
+       st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=2))
+@example(4, 0, "anti-diagonal", [np.pi, -np.pi])
+@example(2, 0, "diagonal", [0.0, np.pi])
+def test_compile_u2_block_is_four_c1_c3_steps(n, seed, kind, phases):
+    # one Reck step: at most four steps, C1 and C3 only, exact both as the
+    # closed-form product and as the integrated program loop
+    rng = np.random.default_rng(seed)
+    beta, beta_bar = (int(v) for v in np.sort(rng.choice(np.arange(1, n + 1), 2, replace=False)))
+    target = random_unitary(rng, 2) if kind == "random" else _special_u2(kind, phases)
+    prog = compile_u2_block(target, beta, beta_bar, n)
+    assert len(prog.steps) <= 4
+    assert {s.family for s in prog.steps} <= {"C1", "C3"}
+    embedded = embed_two_level(target, beta, beta_bar, n)
+    assert prog.evaluate().distance(embedded) <= 1e-12
+    assert prog.evaluate_integrated(1).distance(embedded) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_compile_unitary_is_c1_c3_only(n):
+    # every factor's block compiles to C1/C3 steps, which freeze no
+    # coordinate, so the program's loop has no connector legs
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        u = random_unitary(rng, n)
+        prog = compile_unitary(u, n)
+        assert {s.family for s in prog.steps} <= {"C1", "C3"}
+        assert prog.evaluate().distance(u) <= 1e-12
+        assert prog.evaluate_integrated(1).distance(u) <= 1e-12
 
 
 def test_compile_validation():
@@ -389,3 +429,4 @@ def test_program_json_round_trip():
     assert back.steps == prog.steps
     d = prog.to_json_dict()
     assert d["steps"][0]["frozen"] == {"phi:3": np.pi / 2}
+    assert "residual_phase" not in d

@@ -171,10 +171,10 @@ def test_shape_invariance_equal_area():
     assert np.max(np.abs(h_circ - h_lsh)) < 1e-6
 
 
-def test_discretization_second_order_on_circle():
+def test_discretization_fourth_order_on_circle():
     # rectangles are segment-exact, so convergence is measured on a curve; its
     # oblique edges take two Gauss nodes per segment, so the error falls at
-    # fourth order (the name predates that rule)
+    # fourth order
     circle = circle_loop(1, C1_PLANE, (0.7, 1.0), 0.3, num_vertices=64,
                          clockwise=True, family="C1")
     area = enclosed_area(circle, "C1")
@@ -197,12 +197,12 @@ def _tilted_ellipse(plane, family):
     ("C1", ("theta:2", "phi:2"), "circle"), ("C3", ("theta:1", "theta:3"), "circle"),
     ("C4", ("theta:2", "theta:4"), "circle"), ("C1", ("theta:2", "phi:2"), "ellipse"),
 ])
-def test_integrator_second_order(family, plane, shape):
+def test_integrator_fourth_order(family, plane, shape):
     # n = 4, 64 oblique edges; the two-node Magnus rule must cut the error 16x per
-    # doubling (the name predates that rule). At 8 segments per edge C3 and C4
-    # reach roundoff, so the doublings run over 1, 2 and 4. On the circles
-    # odd-order terms of off-centre nodes cancel by mirror symmetry, so the
-    # tilted ellipse is the case that tells the Gauss nodes from others.
+    # doubling. At 8 segments per edge C3 and C4 reach roundoff, so the
+    # doublings run over 1, 2 and 4. On the circles odd-order terms of
+    # off-centre nodes cancel by mirror symmetry, so the tilted ellipse is the
+    # case that tells the Gauss nodes from others.
     tag = PlaneTag(plane, {"phi:2": np.pi / 2} if family == "C4" else {})
     if shape == "circle":
         loop = circle_loop(4, tag, (0.75, 0.8), 0.3, num_vertices=64, family=family)
