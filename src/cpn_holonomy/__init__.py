@@ -6,7 +6,7 @@ programs (including the explicit two-qubit constructions on n = 4), and two
 independent dynamical verifiers (adiabatic Schrodinger transport and the
 repeated-pulse kick scheme).
 """
-from .chart import ControlPoint, HamiltonianFamily, frame_unitary
+from .chart import ControlPoint, frame_unitary
 from .connection import ConnectionValue, connection_along, connection_analytic
 from .dynamics import adiabatic_transport, kick_evolution, propagate_frames, smoothstep
 from .gates import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
@@ -18,7 +18,7 @@ from .loops import LoopPath, PlaneTag, enclosed_area, loop_from_plane_vertices, 
 from .multipartite import CostReport, EmbeddedGate, Register, apply_circuit, gate_count
 
 __all__ = [
-    "ControlPoint", "HamiltonianFamily", "frame_unitary",
+    "ControlPoint", "frame_unitary",
     "ConnectionValue", "connection_along", "connection_analytic",
     "LoopPath", "PlaneTag", "enclosed_area", "rectangle_loop", "loop_from_plane_vertices",
     "UnitaryMatrix", "UnitarityError", "holonomy",

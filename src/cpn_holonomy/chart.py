@@ -1,4 +1,4 @@
-"""The CP^n control chart, its rotated eigenframe and the isospectral Hamiltonian family.
+"""The CP^n control chart and its rotated eigenframe.
 
 A point of the chart is 2n angles (theta_1..theta_n, phi_1..phi_n) with
 theta in [0, pi/2] and phi in [0, 2pi). Level n+1 is the non-degenerate one;
@@ -8,8 +8,9 @@ The frame U(point) is the ordered product of n two-level rotations, one per
 level alpha, each mixing (alpha, n+1); the alpha = 1 rotation acts first.
 Its columns are the rotated eigenstates: columns 1..n span the n-fold
 degenerate eigenvalue-0 subspace (the code), column n+1 carries eigenvalue
-epsilon0. Reversing the product order changes the frame and every downstream
-sign, so it is fixed here once.
+1: energies are in units of the gap epsilon0, times in units of 1/epsilon0.
+Reversing the product order changes the frame and every downstream sign,
+so it is fixed here once.
 
 Functions with a trailing underscore-free "batch" variant accept arrays of
 shape (..., n) and return matching batched matrices or vectors; these are
@@ -51,24 +52,6 @@ class ControlPoint:
         ph.setflags(write=False)
         object.__setattr__(self, "theta", th)
         object.__setattr__(self, "phi", ph)
-
-
-@dataclass(frozen=True)
-class HamiltonianFamily:
-    """Isospectral orbit H(lambda) = U(lambda) H0 U(lambda)†, H0 = epsilon0 |n+1><n+1|."""
-
-    n: int
-    epsilon0: float = 1.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if not (np.isfinite(self.epsilon0) and self.epsilon0 > 0):
-            raise ValueError(f"epsilon0 must be finite and positive, got {self.epsilon0!r}")
-
-    @property
-    def dim(self) -> int:
-        return self.n + 1
 
 
 def frame_unitary_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

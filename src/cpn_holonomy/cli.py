@@ -7,9 +7,9 @@ error (exit 2). Every one takes --out (a path, '-' for stdout), and
     holonomy    --loop --segments
     gate        --name --sigma1 --sigma3 --segments --tol
     compile     --target --beta --beta-bar --n --tol
-    verify      one of --loop/--program/--name; --time --steps --epsilon0 --tol
+    verify      one of --loop/--program/--name; --time --steps --tol
     kick        one of --loop/--program/--name; --n-list --time --ref-steps
-                --epsilon0 --format (csv by default)
+                --format (csv by default)
     circuit     --circuit --qubits --state --ancilla --no-monolithic
     sweep       --kind random-rects (default) with --n --family, or --kind
                 segments with --loop; --cases --segments --seed --format
@@ -46,7 +46,7 @@ import sys
 import numpy as np
 
 from . import linalg
-from .chart import ControlPoint, HamiltonianFamily
+from .chart import ControlPoint
 from .connection import connection_analytic
 from .dynamics import _check_time_and_count, adiabatic_transport, kick_evolution, \
     propagate_frames
@@ -207,12 +207,10 @@ def cmd_connection(args) -> str:
         p = _load_json_file(args.point, _decode_point)
     else:
         theta = parse_angle_list(args.theta) if args.theta else []
-        phi = parse_angle_list(args.phi) if args.phi else [0.0] * len(theta)
         n = len(theta) if args.n is None else args.n
         if not theta:
             theta = [0.0] * n
-        if len(phi) < len(theta):
-            phi = phi + [0.0] * (len(theta) - len(phi))
+        phi = parse_angle_list(args.phi) if args.phi else [0.0] * len(theta)
         p = ControlPoint(n, np.array(theta), np.array(phi))
     return dump_json(connection_analytic(p).to_json_dict())
 
@@ -282,8 +280,7 @@ def _loop_from_args(args) -> tuple[LoopPath, int]:
 def cmd_verify(args) -> str:
     _check_tol(args.tol)
     loop, segs = _loop_from_args(args)
-    fam = HamiltonianFamily(loop.n, args.epsilon0)
-    transport, diag = adiabatic_transport(fam, loop, args.time, args.steps)
+    transport, diag = adiabatic_transport(loop, args.time, args.steps)
     dist = transport.distance(holonomy(loop, segs))
     report = {"transport": linalg.complex_pairs(transport.matrix), **diag.to_json_dict(),
               "distance_to_holonomy": dist, "within_tol": bool(dist < args.tol)}
@@ -299,9 +296,8 @@ def cmd_kick(args) -> str:
     _check_time_and_count(args.time, args.ref_steps, "--ref-steps")
     for N in n_list:
         _check_time_and_count(args.time, N, "--n-list entries")
-    fam = HamiltonianFamily(loop.n, args.epsilon0)
-    ref = propagate_frames(fam, loop, args.time, args.ref_steps)
-    rows = [(N, args.time / N, linalg.max_abs_diff(kick_evolution(fam, loop, args.time, N), ref))
+    ref = propagate_frames(loop, args.time, args.ref_steps)
+    rows = [(N, args.time / N, linalg.max_abs_diff(kick_evolution(loop, args.time, N), ref))
             for N in n_list]
     if args.format == "json":
         return dump_json({"T": args.time, "ref_steps": args.ref_steps,
@@ -451,16 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     loop_sources(p)
     p.add_argument("--time", type=parse_angle, required=True, help="total time (units 1/eps0)")
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--epsilon0", type=float, default=1.0)
 
     p = subcommand("kick", cmd_kick, "kick-scheme convergence table")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     loop_sources(p)
     p.add_argument("--n-list", dest="n_list", required=True,
                    help="comma-separated interval counts, e.g. 250,500,1000")
-    p.add_argument("--time", type=parse_angle, default=40.0)
+    p.add_argument("--time", type=parse_angle, default=40.0, help="total time (units 1/eps0)")
     p.add_argument("--ref-steps", dest="ref_steps", type=int, default=16384)
-    p.add_argument("--epsilon0", type=float, default=1.0)
 
     p = subcommand("circuit", cmd_circuit, "run a local-gate circuit on a register")
     p.add_argument("--circuit", required=True, help="JSON list of {pair, gate}")

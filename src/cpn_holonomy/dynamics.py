@@ -1,19 +1,20 @@
 """Dynamical verification: adiabatic Schrodinger transport and the pulse-kick scheme.
 
 Both verifiers integrate actual time evolution under H(lambda(t)) and are
-independent of the connection/holonomy code paths. H = epsilon0 |v><v| with
-v the excited eigenvector, so every step with H frozen at one chart point is
-the exact rank-1 update
+independent of the connection/holonomy code paths. Time is in units of
+1/epsilon0, so H = |v><v| with v the excited eigenvector, and every step
+dt <= MAX_EPS_DT with H frozen at one chart point is the exact rank-1 update
 
-    exp(-i H dt) = I + (e^{-i epsilon0 dt} - 1) |v><v|,
+    exp(-i H dt) = I + (e^{-i dt} - 1) |v><v|,
 
 and one stepper serves both routes; they differ only in where they sample
 lambda. The adiabatic route samples interval midpoints (exponential
 midpoint rule, second order in dt); the kick route samples left endpoints,
 which makes each step exactly a frame kick around exact free evolution,
-F exp(-i H0 dt) F†. The code subspace sits at eigenvalue 0 at every chart
-point, so no dynamical phase accrues on the code and the extracted transport
-matrix can be compared to a loop holonomy directly.
+F exp(-i H0 dt) F† with H0 = |n+1><n+1|. The code subspace sits at
+eigenvalue 0 at every chart point, so no dynamical phase accrues on the code
+and the extracted transport matrix can be compared to a loop holonomy
+directly.
 
 The steps act only on the live levels: those whose theta is nonzero at
 some vertex of the loop, plus level n+1. A level whose theta stays 0 has
@@ -22,7 +23,7 @@ exactly as the identity; only the live theta/phi columns are sampled, and
 the product is formed at dimension |live| + 1 and embedded in the
 (n+1) x (n+1) identity. Outputs match stepping all levels up to roundoff,
 from sums over fewer terms. A loop with no live level (phis moving at
-theta = 0) gives diag(1, ..., 1, e^{-i epsilon0 T}) as stepped.
+theta = 0) gives diag(1, ..., 1, e^{-i T}) as stepped.
 
 Both routes sample through one helper (_excited_states), per edge
 (_edge_trig). Lambda is linear in chart arclength between the loop's
@@ -37,13 +38,12 @@ coordinate per edge, so its nodes pay two trig evaluations each instead of
 four per live level.
 
 The stepper (linalg.rank1_product) applies the steps in place,
-x <- x + (e^{-i epsilon0 dt} - 1) v (v† x), to chunks of consecutive steps
+x <- x + (e^{-i dt} - 1) v (v† x), to chunks of consecutive steps
 at once (linalg.rank1_chunk sets their length from the step count): O(d^2)
 per step, and no d x d factor is formed.
 The chunk products are then multiplied in time order. Step and interval
 counts above MAX_STEPS are input errors, raised before any sampling; this
-includes the count that adiabatic_transport raises to keep
-epsilon0 * dt <= MAX_EPS_DT.
+includes the count that adiabatic_transport raises to keep dt <= MAX_EPS_DT.
 
 Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
@@ -63,11 +63,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chart import HamiltonianFamily, excited_state_from_trig, frame_unitary
+from .chart import excited_state_from_trig, frame_unitary
 from .holonomy import UnitaryMatrix
 from .loops import LoopPath
 
-MAX_EPS_DT = 0.05  # stepper resolution rule: epsilon0 * dt <= this
+MAX_EPS_DT = 0.05  # stepper resolution rule: dt <= this, in units of 1/epsilon0
 MAX_STEPS = 2 ** 22  # most steps or kick intervals one propagation may take
 LEAKAGE_BOUND = 1e-2  # leakage above this flags a transport as non-adiabatic
 
@@ -177,24 +177,22 @@ def _excited_states(loop: LoopPath, nodes: np.ndarray) -> tuple[np.ndarray, np.n
                                          lambda j: (*column(j), *column(k + j)))
 
 
-def _rank1_product(f: HamiltonianFamily, live: np.ndarray, v: np.ndarray,
-                   dt: float) -> np.ndarray:
-    """Ordered product of exp(-i H dt) = I + (e^{-i eps0 dt} - 1) |v><v| over the rows of v.
+def _rank1_product(n: int, live: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
+    """Ordered product of exp(-i H dt) = I + (e^{-i dt} - 1) |v><v| over the rows of v.
 
     v holds the excited states on the live levels and level n+1, one row per
     step, later left. The steps act at dimension len(live) + 1; the block is
     embedded in the (n+1) x (n+1) identity. With no live level it is the
     1 x 1 product (1 + a)^M on level n+1.
     """
-    block = linalg.rank1_product(np.exp(-1j * f.epsilon0 * dt) - 1.0, v)
-    levels = np.append(live, f.n)
-    u = np.eye(f.dim, dtype=complex)
+    block = linalg.rank1_product(np.exp(-1j * dt) - 1.0, v)
+    levels = np.append(live, n)
+    u = np.eye(n + 1, dtype=complex)
     u[np.ix_(levels, levels)] = block
     return u
 
 
-def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
-                     steps: int) -> np.ndarray:
+def propagate_frames(loop: LoopPath, total_time: float, steps: int) -> np.ndarray:
     """Full (n+1)-dim propagator for one smoothstep-ramped traversal of the loop.
 
     Exponential midpoint rule: U = prod exp(-i H(lambda(s(t_mid))) dt), later
@@ -202,10 +200,8 @@ def propagate_frames(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     exact rank-1 step.
     """
     _check_time_and_count(total_time, steps, "steps")
-    if f.n != loop.n:
-        raise ValueError("family and loop dimensions disagree")
     live, v = _excited_states(loop, smoothstep((np.arange(steps) + 0.5) / steps))
-    return _rank1_product(f, live, v, total_time / steps)
+    return _rank1_product(loop.n, live, v, total_time / steps)
 
 
 @dataclass
@@ -224,7 +220,7 @@ class TransportDiagnostics:
         }
 
 
-def adiabatic_transport(f: HamiltonianFamily, loop: LoopPath, total_time: float,
+def adiabatic_transport(loop: LoopPath, total_time: float,
                         steps: int = 1000) -> tuple[UnitaryMatrix, TransportDiagnostics]:
     """Schrodinger-propagate the code frame around the loop in total_time and
     extract the geometric transformation.
@@ -232,17 +228,17 @@ def adiabatic_transport(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     Column alpha of the result is the base-frame expansion of the propagated
     alpha-th code vector; leakage per column is the weight lost to the
     excited level. Leakage above LEAKAGE_BOUND warns of a non-adiabatic run
-    (reported, not fatal). The step count is raised if needed so
-    epsilon0 * dt <= MAX_EPS_DT. A bad time, a count below 1 and a count
-    (requested or raised) above MAX_STEPS are ValueErrors.
+    (reported, not fatal). The step count is raised if needed so that
+    dt <= MAX_EPS_DT. A bad time, a count below 1 and a count (requested or
+    raised) above MAX_STEPS are ValueErrors.
     """
     _check_time_and_count(total_time, steps, "steps")
     # a float count, so that a huge T fails the check below instead of int()
-    steps = max(steps, float(np.ceil(f.epsilon0 * total_time / MAX_EPS_DT)))
+    steps = max(steps, float(np.ceil(total_time / MAX_EPS_DT)))
     _check_time_and_count(total_time, steps, "steps")
     steps = int(steps)
-    u_full = propagate_frames(f, loop, total_time, steps)
-    code = frame_unitary(loop.base_point)[:, : f.n]
+    u_full = propagate_frames(loop, total_time, steps)
+    code = frame_unitary(loop.base_point)[:, : loop.n]
     m = code.conj().T @ u_full @ code
     leakage = 1.0 - np.sum(np.abs(m) ** 2, axis=0)
     defect = linalg.unitarity_defect(m)
@@ -251,14 +247,13 @@ def adiabatic_transport(f: HamiltonianFamily, loop: LoopPath, total_time: float,
         # repeated call adds nothing to the caller's warning registry
         warnings.warn(f"leakage exceeds {LEAKAGE_BOUND:.0e}: run may be non-adiabatic",
                       stacklevel=2)
-    transport = UnitaryMatrix(f.n, linalg.polar_project(m), defect)
+    transport = UnitaryMatrix(loop.n, linalg.polar_project(m), defect)
     return transport, TransportDiagnostics(leakage, defect, total_time, steps)
 
 
 # ---------- kick scheme ----------
 
-def kick_evolution(f: HamiltonianFamily, loop: LoopPath, total_time: float,
-                   intervals: int) -> np.ndarray:
+def kick_evolution(loop: LoopPath, total_time: float, intervals: int) -> np.ndarray:
     """Kick-scheme propagator: N = intervals kicks of dt = total_time / N, later left.
 
     Interval k evolves in the frame of lambda_k, the loop at the left
@@ -268,7 +263,5 @@ def kick_evolution(f: HamiltonianFamily, loop: LoopPath, total_time: float,
     cancels and the product telescopes to exp(-i H0 T) in the base frame.
     """
     _check_time_and_count(total_time, intervals, "intervals")
-    if f.n != loop.n:
-        raise ValueError("family and loop dimensions disagree")
     live, v = _excited_states(loop, smoothstep(np.arange(intervals) / intervals))
-    return _rank1_product(f, live, v, total_time / intervals)
+    return _rank1_product(loop.n, live, v, total_time / intervals)

@@ -82,6 +82,8 @@ class LoopPath:
     family: str | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be a positive integer")
         th = np.asarray(self.thetas, dtype=float)
         ph = np.asarray(self.phis, dtype=float)
         if th.ndim != 2 or th.shape != ph.shape or th.shape[1] != self.n or th.shape[0] < 3:

@@ -8,7 +8,7 @@ other way than per edge, for the dynamics tests.
 """
 import numpy as np
 
-from cpn_holonomy.chart import THETA_MAX, ControlPoint, HamiltonianFamily, excited_state_from_trig
+from cpn_holonomy.chart import THETA_MAX, ControlPoint, excited_state_from_trig
 
 
 def eigenstate(p: ControlPoint, alpha: int) -> np.ndarray:
@@ -37,18 +37,17 @@ def eigenstate(p: ControlPoint, alpha: int) -> np.ndarray:
     return v
 
 
-def hamiltonian_at(f: HamiltonianFamily, p: ControlPoint) -> np.ndarray:
-    """H(p) = epsilon0 |v><v| with v the rotated level-(n+1) eigenstate.
+def hamiltonian_at(p: ControlPoint, eps0: float = 1.0) -> np.ndarray:
+    """H(p) = eps0 |v><v| with v the rotated level-(n+1) eigenstate.
 
-    Spectrum is {0 x n, epsilon0} at every chart point. Note the restricted
-    two-level form of H on a (theta_b, phi_b) plane is traceless only after
-    subtracting (epsilon0/2) I; see the model tests for the explicit
+    Spectrum is {0 x n, eps0} at every chart point; the package measures
+    time in units of 1/eps0, so its H is the one at eps0 = 1. Note the
+    restricted two-level form of H on a (theta_b, phi_b) plane is traceless
+    only after subtracting (eps0/2) I; see the model tests for the explicit
     reconciliation (including the azimuth reflection phi -> pi - phi).
     """
-    if f.n != p.n:
-        raise ValueError(f"dimension mismatch: family n={f.n}, point n={p.n}")
     v = eigenstate(p, p.n + 1)
-    return f.epsilon0 * np.outer(v, v.conj())
+    return eps0 * np.outer(v, v.conj())
 
 
 def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ and v comes from the angles (chart_oracle.excited_state_batch).
 import numpy as np
 
 from chart_oracle import excited_state_batch
-from cpn_holonomy.chart import HamiltonianFamily
 from cpn_holonomy.dynamics import _knots, smoothstep
 from cpn_holonomy.linalg import rank1_product
 from cpn_holonomy.loops import LoopPath
@@ -43,8 +42,8 @@ def kick_nodes(intervals: int) -> np.ndarray:
     return smoothstep(np.arange(intervals) / intervals)
 
 
-def interp_propagator(f: HamiltonianFamily, loop: LoopPath, total_time: float,
-                      nodes: np.ndarray, live: np.ndarray | None = None) -> np.ndarray:
+def interp_propagator(loop: LoopPath, total_time: float, nodes: np.ndarray,
+                      live: np.ndarray | None = None) -> np.ndarray:
     """Ordered product of the rank-1 steps at the nodes, each of dt = total_time / len(nodes).
 
     The steps act on the levels in live and level n+1, embedded in the
@@ -55,8 +54,8 @@ def interp_propagator(f: HamiltonianFamily, loop: LoopPath, total_time: float,
         live = np.flatnonzero(np.any(arclength_interpolator(loop)(nodes)[0] != 0.0, axis=0))
     v = excited_state_batch(*arclength_interpolator(loop, live)(nodes))
     dt = total_time / len(nodes)
-    block = rank1_product(np.exp(-1j * f.epsilon0 * dt) - 1.0, v)
-    levels = np.append(live, f.n)
-    u = np.eye(f.dim, dtype=complex)
+    block = rank1_product(np.exp(-1j * dt) - 1.0, v)
+    levels = np.append(live, loop.n)
+    u = np.eye(loop.n + 1, dtype=complex)
     u[np.ix_(levels, levels)] = block
     return u

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 from connection_oracle import connection_numeric
-from cpn_holonomy import (GateProgram, GateStep, HamiltonianFamily, PlaneTag,
+from cpn_holonomy import (GateProgram, GateStep, PlaneTag,
                           adiabatic_transport, compile_u2_block, connection_analytic,
                           enclosed_area, holonomy, kick_evolution, LoopPath,
                           named_gate_matrix, primitive_holonomy, propagate_frames,
@@ -109,14 +109,13 @@ def test_criterion_4_shape_invariance():
 
 
 def test_criterion_5_adiabatic_oracle():
-    """C1 with area pi/4 on n=1: transport vs closed form at eps0*T = 2000."""
+    """C1 with area pi/4 on n=1: transport vs closed form at T = 2000 (units 1/eps0)."""
     t0 = time.time()
-    fam = HamiltonianFamily(1)
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
     closed = np.array([[np.exp(-1j * np.pi / 4)]])
     errs, leaks = {}, {}
     for total in (200.0, 2000.0):
-        tr, diag = adiabatic_transport(fam, loop, total)
+        tr, diag = adiabatic_transport(loop, total)
         errs[total] = max_abs_diff(tr.matrix, closed)
         leaks[total] = float(np.max(diag.leakage))
     dt = time.time() - t0
@@ -130,11 +129,10 @@ def test_criterion_5_adiabatic_oracle():
 def test_criterion_6_kick_convergence():
     """Kick vs fine-step continuous propagator: halving ratio in [1.6, 2.4]."""
     t0 = time.time()
-    fam = HamiltonianFamily(1)
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1)
     total = 40.0
-    ref = propagate_frames(fam, loop, total, 32768)
-    errs = {n_int: max_abs_diff(kick_evolution(fam, loop, total, n_int), ref)
+    ref = propagate_frames(loop, total, 32768)
+    errs = {n_int: max_abs_diff(kick_evolution(loop, total, n_int), ref)
             for n_int in (250, 500, 1000)}
     r1, r2 = errs[250] / errs[500], errs[500] / errs[1000]
     dt = time.time() - t0

@@ -1,9 +1,9 @@
-"""Chart, eigenframe and Hamiltonian-family tests."""
+"""Chart, eigenframe and Hamiltonian tests."""
 import numpy as np
 import pytest
 
 from chart_oracle import eigenstate, excited_state_batch, hamiltonian_at
-from cpn_holonomy import ControlPoint, HamiltonianFamily, frame_unitary
+from cpn_holonomy import ControlPoint, frame_unitary
 from cpn_holonomy.chart import frame_unitary_batch
 from helpers import origin
 
@@ -79,8 +79,7 @@ def test_eigenstate_index_errors():
 
 
 def test_hamiltonian_at_origin():
-    f = HamiltonianFamily(3, epsilon0=2.5)
-    h = hamiltonian_at(f, origin(3))
+    h = hamiltonian_at(origin(3), 2.5)
     expect = np.zeros((4, 4))
     expect[3, 3] = 2.5
     assert np.max(np.abs(h - expect)) == 0.0
@@ -89,9 +88,8 @@ def test_hamiltonian_at_origin():
 def test_isospectrality_random():
     rng = np.random.default_rng(19)
     for n in (1, 2, 4):
-        f = HamiltonianFamily(n, epsilon0=1.7)
         for _ in range(34):
-            h = hamiltonian_at(f, random_point(rng, n))
+            h = hamiltonian_at(random_point(rng, n), 1.7)
             assert np.max(np.abs(h - h.conj().T)) < 1e-12
             w = np.sort(np.linalg.eigvalsh(h))
             expect = np.concatenate([np.zeros(n), [1.7]])
@@ -110,11 +108,10 @@ def test_restricted_two_level_form():
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     sz = np.diag([1, -1]).astype(complex)
     rng = np.random.default_rng(5)
-    f = HamiltonianFamily(1, epsilon0=1.3)
     for _ in range(25):
         th = rng.uniform(0, np.pi / 2)
         ph = rng.uniform(0, 2 * np.pi)
-        h = hamiltonian_at(f, ControlPoint(1, [th], [ph]))
+        h = hamiltonian_at(ControlPoint(1, [th], [ph]), 1.3)
         az = np.pi - ph
         b = np.array([np.sin(2 * th) * np.cos(az), np.sin(2 * th) * np.sin(az), np.cos(2 * th)])
         model = -(1.3 / 2) * (b[0] * sx + b[1] * sy + b[2] * sz) + (1.3 / 2) * np.eye(2)
@@ -124,9 +121,8 @@ def test_restricted_two_level_form():
 def test_restricted_three_level_coupling():
     # on a (theta_b, theta_bb) plane at phi = 0 the Hamiltonian is a real
     # rank-one projector coupling levels b, bb and n+1 only
-    f = HamiltonianFamily(3)
     p = ControlPoint(3, [0.6, 1.1, 0.0], [0.0, 0.0, 0.0])
-    h = hamiltonian_at(f, p)
+    h = hamiltonian_at(p)
     assert np.max(np.abs(h.imag)) < 1e-14
     assert np.linalg.matrix_rank(h, tol=1e-10) == 1
     # level 3 decoupled
@@ -188,9 +184,3 @@ def test_excited_state_batch_closed_form():
             expect = eigenstate(ControlPoint(n, th[idx], ph[idx]), n + 1)
             assert np.max(np.abs(v[idx] - expect)) < 1e-15
     assert np.array_equal(excited_state_batch(np.zeros(3), np.zeros(3)), [0, 0, 0, 1])
-
-
-def test_family_rejects_nonfinite_energy():
-    for bad in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError):
-            HamiltonianFamily(2, bad)

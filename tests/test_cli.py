@@ -135,6 +135,7 @@ BAD_FILES = {
     "fractional_beta_program": {"n": 2, "steps": [dict(C1_STEP, beta=1.5)]},
     "boolean_n_program": {"n": True, "steps": [C1_STEP]},
     "zero_n_program": {"n": 0, "steps": []},
+    "zero_n_loop": {"n": 0, "points": [[[], []]] * 3},
     "negative_n_program": {"n": -1, "steps": []},
     "fractional_pair": [{"pair": [1.5, 2], "gate": "XOR"}],
     "boolean_pair": [{"pair": [True, 2], "gate": "XOR"}],
@@ -207,6 +208,11 @@ BAD_FILES = {
     # a program's matrix is the product of its steps; a phase beside them would be ignored
     ["verify", "--program", "{residual_phase_program}", "--time", "1"],
     ["kick", "--program", "{residual_phase_program}", "--n-list", "10"],
+    # theta and phi of unequal length are an error, never padded with zeros
+    ["connection", "--theta", "0.1,0.2", "--phi", "0.3"],
+    ["connection", "--n", "3", "--phi", "0.1"],
+    # a loop file checks its n before its vertex arrays
+    ["verify", "--loop", "{zero_n_loop}", "--time", "1"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(
@@ -414,7 +420,6 @@ def test_kick_empty_nlist_exits_2(capsys):
     ["kick", "--name", "phase2", "--n-list", "250", "--time", "30", "--ref-steps", "5000000"],
     ["verify", "--name", "crot", "--time", "inf"],
     ["verify", "--name", "crot", "--time", "nan"],
-    ["verify", "--name", "crot", "--time", "40", "--epsilon0", "inf"],
 ])
 def test_oracle_bad_time_or_count_exits_2(argv, capsys, monkeypatch):
     # kick checks every count and the time before its reference run
@@ -455,10 +460,9 @@ OPTIONS = {
     "holonomy": {"--out", "--loop", "--segments"},
     "gate": {"--out", "--tol", "--name", "--sigma1", "--sigma3", "--segments"},
     "compile": {"--out", "--n", "--tol", "--target", "--beta", "--beta-bar"},
-    "verify": {"--out", "--tol", "--loop", "--program", "--name", "--time", "--steps",
-               "--epsilon0"},
+    "verify": {"--out", "--tol", "--loop", "--program", "--name", "--time", "--steps"},
     "kick": {"--out", "--format", "--loop", "--program", "--name", "--n-list", "--time",
-             "--ref-steps", "--epsilon0"},
+             "--ref-steps"},
     "circuit": {"--out", "--circuit", "--qubits", "--state", "--ancilla", "--no-monolithic"},
     "sweep": {"--out", "--n", "--seed", "--format", "--kind", "--family", "--cases",
               "--segments", "--loop"},
@@ -472,7 +476,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
                   for opt in a.option_strings]
            for name, p in subparsers.choices.items()}
     assert {name: set(opts) for name, opts in got.items()} == OPTIONS
-    assert sum(len(opts) for opts in got.values()) == 52
+    assert sum(len(opts) for opts in got.values()) == 50
 
 
 @pytest.mark.parametrize("argv", [
@@ -495,6 +499,9 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     ["gate", "--n", "4", "--name", "xor"],
     ["verify", "--name", "crot", "--time", "250", "--time", "500", "--steps", "10"],
     ["holonomy", "--loop", "{loop}", "--loop", "{loop}"],
+    # time is in units of 1/eps0: there is no gap to set
+    ["verify", "--name", "crot", "--time", "40", "--epsilon0", "2"],
+    ["kick", "--name", "xor", "--n-list", "250", "--epsilon0", "2"],
 ])
 def test_unread_or_conflicting_options_exit_2(argv, tmp_path, capsys):
     files = {name: tmp_path / f"{name}.json" for name in ("loop", "circ", "program", "point")}
@@ -625,10 +632,9 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
         ["compile", "--target", str(target), "--beta", "1", "--beta-bar", "2",
          "--n", "4", "--tol", "1e-12"],
         ["compile", "--target", str(target), "--beta", "1", "--beta-bar", "2"],
-        ["verify", "--loop", str(loop), "--time", "400", "--steps", "2000",
-         "--epsilon0", "2", "--tol", "1e-2"],
+        ["verify", "--loop", str(loop), "--time", "400", "--steps", "2000", "--tol", "1e-2"],
         ["verify", "--loop", str(loop), "--time", "400"],
-        kick + ["--format", "json", "--epsilon0", "2"],
+        kick + ["--format", "json"],
         kick,
         ["circuit", "--circuit", str(circ), "--qubits", "2", "--state", "10",
          "--ancilla", "-", "--no-monolithic"],

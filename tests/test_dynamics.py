@@ -10,7 +10,7 @@ from scipy.linalg import expm
 from scipy.stats import unitary_group
 
 from chart_oracle import excited_state_batch, hamiltonian_at
-from cpn_holonomy import (ControlPoint, GateProgram, GateStep, HamiltonianFamily, LoopPath,
+from cpn_holonomy import (ControlPoint, GateProgram, GateStep, LoopPath,
                           adiabatic_transport, compile_unitary, holonomy, kick_evolution,
                           primitive_holonomy, program_schedule, propagate_frames,
                           realize_step_as_loop, two_qubit_gate)
@@ -46,32 +46,29 @@ def test_oracle_never_reaches_the_integrator():
 
 
 def test_degenerate_loop_transport_is_identity():
-    fam = HamiltonianFamily(2)
     pts = np.full((3, 2), 0.4)
     loop = LoopPath(2, pts, pts * 0.0)
-    tr, diag = adiabatic_transport(fam, loop, 5.0, steps=50)
+    tr, diag = adiabatic_transport(loop, 5.0, steps=50)
     # code sits at eigenvalue zero: stationary up to stepper roundoff
     assert tr.distance(np.eye(2)) < 1e-12
     assert np.max(diag.leakage) < 1e-12
 
 
 def test_c1_transport_matches_closed_form_default_budget():
-    fam = HamiltonianFamily(1)
     loop = c1_loop()
-    tr, diag = adiabatic_transport(fam, loop, 2000.0)
+    tr, diag = adiabatic_transport(loop, 2000.0)
     assert abs(tr.matrix[0, 0] - np.exp(-1j * np.pi / 4)) < 1e-2
     assert np.max(diag.leakage) < 1e-3
     assert tr.distance(holonomy(loop, 64)) < 1e-2
-    assert diag.steps >= 40000  # eps0 * dt <= 0.05 enforced
+    assert diag.steps >= 40000  # dt <= 0.05 enforced
 
 
 def test_adiabatic_error_decreases_with_time():
-    fam = HamiltonianFamily(1)
     loop = c1_loop()
     expect = holonomy(loop, 64).matrix
     errs = {}
     for total in (200.0, 2000.0):
-        tr, _ = adiabatic_transport(fam, loop, total)
+        tr, _ = adiabatic_transport(loop, total)
         errs[total] = max_abs_diff(tr.matrix, expect)
     assert errs[2000.0] < errs[200.0] / 2
 
@@ -84,9 +81,8 @@ def test_adiabatic_error_decreases_with_time():
 ])
 def test_oracle_agreement_every_family(step):
     n = 2
-    fam = HamiltonianFamily(n)
     loop = realize_step_as_loop(step, n)
-    tr, _ = adiabatic_transport(fam, loop, 2000.0)
+    tr, _ = adiabatic_transport(loop, 2000.0)
     assert tr.distance(holonomy(loop, 64)) < 5e-2
     assert tr.distance(primitive_holonomy(step, n).matrix) < 5e-2
 
@@ -105,8 +101,7 @@ def test_oracle_agreement_nonabelian_composite():
     swapped = primitive_holonomy(rot, n).matrix @ primitive_holonomy(phase, n).matrix
     assert max_abs_diff(engine, ordered) < 1e-8
     assert max_abs_diff(ordered, swapped) > 0.3  # the ordering genuinely matters
-    fam = HamiltonianFamily(n)
-    tr, _ = adiabatic_transport(fam, loop, 4000.0)
+    tr, _ = adiabatic_transport(loop, 4000.0)
     assert tr.distance(holonomy(loop, 64)) < 5e-2
     assert tr.distance(ordered) < 5e-2
     assert tr.distance(swapped) > 0.25
@@ -116,8 +111,7 @@ def test_oracle_agreement_crot_program():
     # ground truth for sign and ordering conventions; budget is 2000 per loop
     prog = two_qubit_gate("CROT")
     loop = program_schedule(prog)
-    fam = HamiltonianFamily(4)
-    tr, diag = adiabatic_transport(fam, loop, 2000.0 * len(prog.steps))
+    tr, diag = adiabatic_transport(loop, 2000.0 * len(prog.steps))
     assert tr.distance(holonomy(loop, 64)) < 5e-2
     assert tr.distance(prog.evaluate().matrix) < 5e-2
     assert np.max(diag.leakage) < 1e-3
@@ -161,23 +155,20 @@ def test_program_schedule_equals_program_product(sigma1, sigma3, seed):
 
 
 def test_propagator_unitarity():
-    fam = HamiltonianFamily(2)
     loop = realize_step_as_loop(GateStep("C3", 1, 2, 0.7), 2)
-    u = propagate_frames(fam, loop, 50.0, 1200)
+    u = propagate_frames(loop, 50.0, 1200)
     assert unitarity_defect(u) < 1e-9
-    # every factor carries the same rounding of exp(-i eps0 dt), so the defect
+    # every factor carries the same rounding of exp(-i dt), so the defect
     # grows linearly in the step count even with a pairwise product
-    u = propagate_frames(HamiltonianFamily(4), program_schedule(two_qubit_gate("CROT")),
-                         4000.0, 80000)
+    u = propagate_frames(program_schedule(two_qubit_gate("CROT")), 4000.0, 80000)
     assert unitarity_defect(u) <= 1e-11
 
 
 def test_propagator_second_order():
     # midpoint sampling is second order in dt; left endpoints would be first order
-    fam = HamiltonianFamily(2)
     loop = realize_step_as_loop(GateStep("C3", 1, 2, 0.7), 2)
-    ref = propagate_frames(fam, loop, 50.0, 2 ** 17)
-    errs = [max_abs_diff(propagate_frames(fam, loop, 50.0, steps), ref)
+    ref = propagate_frames(loop, 50.0, 2 ** 17)
+    errs = [max_abs_diff(propagate_frames(loop, 50.0, steps), ref)
             for steps in (1000, 2000, 4000, 8000)]
     for coarse, fine in zip(errs, errs[1:]):
         assert 3.5 <= coarse / fine <= 4.5
@@ -190,11 +181,12 @@ def _random_loop(rng, n, vertices=5):
     return LoopPath(n, th, ph)
 
 
-def _dense_product(fam, thetas, phis, dt):
+def _dense_product(thetas, phis, dt):
     """prod_k expm(-i H(lambda_k) dt), later left, from the dense Hamiltonian."""
-    u = np.eye(fam.dim, dtype=complex)
+    n = thetas.shape[1]
+    u = np.eye(n + 1, dtype=complex)
     for th, ph in zip(thetas, phis):
-        h = hamiltonian_at(fam, ControlPoint(fam.n, th, ph))
+        h = hamiltonian_at(ControlPoint(n, th, ph))
         u = expm(-1j * h * dt) @ u
     return u
 
@@ -203,17 +195,16 @@ def _dense_product(fam, thetas, phis, dt):
 def test_rank1_stepper_matches_dense_expm(n):
     # step counts inside one chunk of the stepper, at its edge and past it
     rng = np.random.default_rng(40 + n)
-    fam = HamiltonianFamily(n, epsilon0=1.3)
     loop = _random_loop(rng, n)
-    total = 30.0
+    total = 1.3 * 30.0
     for steps in (1, 31, 32, 33, 300):
         th, ph = arclength_interpolator(loop)(midpoint_nodes(steps))
-        expect = _dense_product(fam, th, ph, total / steps)
-        assert max_abs_diff(propagate_frames(fam, loop, total, steps), expect) <= 1e-12
+        expect = _dense_product(th, ph, total / steps)
+        assert max_abs_diff(propagate_frames(loop, total, steps), expect) <= 1e-12
 
         th, ph = arclength_interpolator(loop)(kick_nodes(steps))
-        expect = _dense_product(fam, th, ph, total / steps)
-        assert max_abs_diff(kick_evolution(fam, loop, total, steps), expect) <= 1e-12
+        expect = _dense_product(th, ph, total / steps)
+        assert max_abs_diff(kick_evolution(loop, total, steps), expect) <= 1e-12
 
 
 LEVEL_KINDS = ("free", "dead", "half_pi", "spike")
@@ -236,14 +227,13 @@ def _loop_with_levels(rng, kinds, vertices):
     return LoopPath(n, th, ph)
 
 
-def _check_against_all_levels(fam, u, thetas, phis, dt):
+def _check_against_all_levels(u, thetas, phis, dt):
     """u against the stepper run on all n+1 levels; levels whose theta is 0 at
     every sample must come out as exact identity rows and columns."""
-    expect = rank1_product(np.exp(-1j * fam.epsilon0 * dt) - 1.0,
-                           excited_state_batch(thetas, phis))
+    expect = rank1_product(np.exp(-1j * dt) - 1.0, excited_state_batch(thetas, phis))
     assert max_abs_diff(u, expect) <= 1e-13
     dead = np.flatnonzero(np.all(thetas == 0.0, axis=0))
-    eye = np.eye(fam.dim)
+    eye = np.eye(len(u))
     assert np.array_equal(u[dead], eye[dead])
     assert np.array_equal(u[:, dead], eye[:, dead])
 
@@ -258,19 +248,18 @@ def test_live_level_stepping_matches_all_levels(kinds, vertices, steps, seed):
     # both oracles step only the levels whose theta moves, plus level n+1
     rng = np.random.default_rng(seed)
     loop = _loop_with_levels(rng, kinds, vertices)
-    fam = HamiltonianFamily(loop.n, epsilon0=1.3)
-    total = 20.0
-    for u, nodes in ((propagate_frames(fam, loop, total, steps), midpoint_nodes(steps)),
-                     (kick_evolution(fam, loop, total, steps), kick_nodes(steps))):
-        _check_against_all_levels(fam, u, *arclength_interpolator(loop)(nodes), total / steps)
+    total = 1.3 * 20.0
+    for u, nodes in ((propagate_frames(loop, total, steps), midpoint_nodes(steps)),
+                     (kick_evolution(loop, total, steps), kick_nodes(steps))):
+        _check_against_all_levels(u, *arclength_interpolator(loop)(nodes), total / steps)
 
 
 # ---------- per-edge sampling ----------
 
-def _interp_propagator(fam, loop, total, steps):
+def _interp_propagator(loop, total, steps):
     """propagate_frames by np.interp of every live column at every step, then
     excited_state_batch of the angles: the oracle of its per-edge sampling."""
-    return interp_propagator(fam, loop, total, midpoint_nodes(steps),
+    return interp_propagator(loop, total, midpoint_nodes(steps),
                              dynamics._live_levels(loop.thetas))
 
 
@@ -333,19 +322,17 @@ def test_per_edge_sampling_matches_interp(kinds, edges, steps, seed):
     # propagator is still the np.interp path's, bit for bit
     rng = np.random.default_rng(seed)
     loop = _sampled_loop(rng, kinds, edges)
-    fam = HamiltonianFamily(loop.n, epsilon0=1.3)
-    assert _same_bits(propagate_frames(fam, loop, 20.0, steps),
-                      _interp_propagator(fam, loop, 20.0, steps))
+    assert _same_bits(propagate_frames(loop, 1.3 * 20.0, steps),
+                      _interp_propagator(loop, 1.3 * 20.0, steps))
 
 
 def test_per_edge_sampling_of_programs_matches_interp():
     # the named gates' composite loops move one coordinate per edge
-    fam = HamiltonianFamily(4)
     for name in NAMED_GATES:
         loop = program_schedule(two_qubit_gate(name))
         for steps in (1, 33, 5001):
-            assert _same_bits(propagate_frames(fam, loop, 250.0, steps),
-                              _interp_propagator(fam, loop, 250.0, steps)), (name, steps)
+            assert _same_bits(propagate_frames(loop, 250.0, steps),
+                              _interp_propagator(loop, 250.0, steps)), (name, steps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -377,13 +364,12 @@ def test_edge_trig_on_knots_matches_interp(edges, columns, extra, seed):
                                          (np.nan, 10), (10.0, 0), (10.0, MAX_STEPS + 1)])
 def test_propagate_frames_validation(total, steps):
     with pytest.raises(ValueError):
-        propagate_frames(HamiltonianFamily(1), c1_loop(), total, steps)
+        propagate_frames(c1_loop(), total, steps)
 
 
 def test_transport_leakage_warning():
-    fam = HamiltonianFamily(1)
     with pytest.warns(UserWarning, match="non-adiabatic"):
-        adiabatic_transport(fam, c1_loop(), 3.0, steps=60)
+        adiabatic_transport(c1_loop(), 3.0, steps=60)
 
 
 def test_schedule_validation(monkeypatch):
@@ -393,58 +379,53 @@ def test_schedule_validation(monkeypatch):
 
     monkeypatch.setattr(dynamics, "propagate_frames", no_sampling)
     loop = c1_loop()
-    fam = HamiltonianFamily(1)
     with pytest.raises(ValueError):
-        adiabatic_transport(fam, loop, 0.0)
+        adiabatic_transport(loop, 0.0)
     with pytest.raises(ValueError, match="steps must be >= 1"):
-        adiabatic_transport(fam, loop, 10.0, steps=0)
+        adiabatic_transport(loop, 10.0, steps=0)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            adiabatic_transport(fam, loop, bad)
+            adiabatic_transport(loop, bad)
     with pytest.raises(ValueError, match="steps must be <="):
-        adiabatic_transport(fam, loop, 10.0, steps=10 ** 14)
-    # the count that eps0 * dt <= MAX_EPS_DT asks for is checked too
-    for total, eps0 in ((1e300, 1.0), (1e300, 1e300)):
+        adiabatic_transport(loop, 10.0, steps=10 ** 14)
+    # the count that dt <= MAX_EPS_DT asks for is checked too
+    for total in (1e300, 1.0 + MAX_STEPS * dynamics.MAX_EPS_DT):
         with pytest.raises(ValueError, match="steps must be <="):
-            adiabatic_transport(HamiltonianFamily(1, eps0), loop, total, steps=10)
+            adiabatic_transport(loop, total, steps=10)
 
 
 # ---------- kick scheme ----------
 
 def test_kick_all_base_is_free_evolution():
     # a degenerate loop at one point: every kick cancels
-    fam = HamiltonianFamily(2, epsilon0=1.3)
     th = np.array([0.5, 0.2])
     loop = LoopPath(2, np.tile(th, (3, 1)), np.tile(th * 0.4, (3, 1)))
-    got = kick_evolution(fam, loop, 2.0, 8)
+    got = kick_evolution(loop, 1.3 * 2.0, 8)
     f0 = frame_unitary_batch(th, th * 0.4)
     expect = f0 @ np.diag([1, 1, np.exp(-1j * 1.3 * 2.0)]) @ f0.conj().T
     assert max_abs_diff(got, expect) < 1e-12
 
 
 def test_kick_first_order_convergence():
-    fam = HamiltonianFamily(1)
     loop = c1_loop()
     total = 40.0
-    ref = propagate_frames(fam, loop, total, 16384)
-    errs = {n_int: max_abs_diff(kick_evolution(fam, loop, total, n_int), ref)
+    ref = propagate_frames(loop, total, 16384)
+    errs = {n_int: max_abs_diff(kick_evolution(loop, total, n_int), ref)
             for n_int in (250, 500, 1000)}
     assert 1.6 < errs[250] / errs[500] < 2.4
     assert 1.6 < errs[500] / errs[1000] < 2.4
 
 
-def kick_code_block(f: HamiltonianFamily, loop: LoopPath, total: float,
-                    intervals: int) -> np.ndarray:
+def kick_code_block(loop: LoopPath, total: float, intervals: int) -> np.ndarray:
     """Code-subspace block of the kick propagator, in the base-point frame."""
-    code = frame_unitary_batch(loop.thetas[0], loop.phis[0])[:, : f.n]
-    return code.conj().T @ kick_evolution(f, loop, total, intervals) @ code
+    code = frame_unitary_batch(loop.thetas[0], loop.phis[0])[:, : loop.n]
+    return code.conj().T @ kick_evolution(loop, total, intervals) @ code
 
 
 def test_kick_plus_adiabatic_reproduces_holonomy():
     # large N, slow traversal: code block of the kick propagator ~ loop holonomy
-    fam = HamiltonianFamily(1)
     loop = c1_loop()
-    block = kick_code_block(fam, loop, 2000.0, 50000)
+    block = kick_code_block(loop, 2000.0, 50000)
     assert max_abs_diff(block, holonomy(loop, 64).matrix) < 5e-2
 
 
@@ -454,29 +435,16 @@ def test_kick_evolution_validation(monkeypatch):
         raise AssertionError("sampled before the inputs were checked")
 
     monkeypatch.setattr(dynamics, "_excited_states", no_sampling)
-    fam, loop = HamiltonianFamily(1), c1_loop()
+    loop = c1_loop()
     with pytest.raises(ValueError, match="positive"):
-        kick_evolution(fam, loop, -0.1, 10)
+        kick_evolution(loop, -0.1, 10)
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
-            kick_evolution(fam, loop, bad, 10)
+            kick_evolution(loop, bad, 10)
     with pytest.raises(ValueError, match="intervals must be >= 1"):
-        kick_evolution(fam, loop, 10.0, 0)
+        kick_evolution(loop, 10.0, 0)
     with pytest.raises(ValueError, match="intervals must be <="):
-        kick_evolution(fam, loop, 10.0, MAX_STEPS + 1)
-
-
-@pytest.mark.parametrize("oracle", [propagate_frames, kick_evolution])
-@pytest.mark.parametrize("n_family,n_loop", [(2, 1), (1, 2)])
-def test_oracles_reject_mismatched_dimensions(oracle, n_family, n_loop):
-    # a loop's levels index the family's: a mismatch would embed the steps on
-    # the wrong levels
-    loop = c1_loop(n_loop, 0.5)
-    with pytest.raises(ValueError, match="dimensions disagree"):
-        oracle(HamiltonianFamily(n_family), loop, 10.0, 10)
-    if oracle is propagate_frames:
-        with pytest.raises(ValueError, match="dimensions disagree"):
-            adiabatic_transport(HamiltonianFamily(n_family), loop, 10.0, 10)
+        kick_evolution(loop, 10.0, MAX_STEPS + 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -493,9 +461,8 @@ def test_kick_evolution_matches_interp(kinds, edges, intervals, seed):
     # propagator is the one of np.interp samples at those nodes
     rng = np.random.default_rng(seed)
     loop = _sampled_loop(rng, kinds, edges)
-    fam = HamiltonianFamily(loop.n, epsilon0=1.3)
-    assert np.array_equal(kick_evolution(fam, loop, 20.0, intervals),
-                          interp_propagator(fam, loop, 20.0, kick_nodes(intervals)))
+    assert np.array_equal(kick_evolution(loop, 1.3 * 20.0, intervals),
+                          interp_propagator(loop, 1.3 * 20.0, kick_nodes(intervals)))
 
 
 @pytest.mark.parametrize("intervals", [1, 3, 5])
@@ -505,12 +472,11 @@ def test_kick_level_live_only_at_an_unhit_vertex(intervals):
     # route at the nodes does not, and the propagators agree
     th = np.array([[0.3, 0.0], [1.2, 0.0], [1.2, 0.01], [1.2, 0.0], [0.3, 0.0]])
     loop = LoopPath(2, th, np.full((5, 2), 0.7))
-    fam = HamiltonianFamily(2, epsilon0=1.3)
     nodes = kick_nodes(intervals)
     assert np.all(arclength_interpolator(loop)(nodes)[0][:, 1] == 0.0)
     assert list(dynamics._live_levels(loop.thetas)) == [0, 1]
-    u = kick_evolution(fam, loop, 20.0, intervals)
-    assert np.array_equal(u, interp_propagator(fam, loop, 20.0, nodes))
+    u = kick_evolution(loop, 1.3 * 20.0, intervals)
+    assert np.array_equal(u, interp_propagator(loop, 1.3 * 20.0, nodes))
     assert np.array_equal(u[1], [0, 1, 0]) and np.array_equal(u[:, 1], [0, 1, 0])
 
 
@@ -525,8 +491,7 @@ def test_phi_shift_conjugates_both_propagators(n, seed):
     th[-1], ph[-1] = th[0], ph[0]
     shift = rng.uniform(0.0, 3.0, n)
     p = np.append(np.exp(1j * shift), 1.0)
-    fam = HamiltonianFamily(n, epsilon0=1.3)
     base, moved = LoopPath(n, th, ph), LoopPath(n, th, ph + shift)
     for oracle in (propagate_frames, kick_evolution):
-        u, v = (oracle(fam, loop, 20.0, 200) for loop in (base, moved))
+        u, v = (oracle(loop, 1.3 * 20.0, 200) for loop in (base, moved))
         assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12

@@ -85,6 +85,13 @@ def test_not_closed_raises():
         LoopPath(1, np.array([[0.0], [0.5], [0.4]]), np.zeros((3, 1)))
 
 
+def test_nonpositive_n_rejected():
+    # checked before the vertex arrays, whose maxima need at least one column
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            LoopPath(n, np.zeros((3, 0)), np.zeros((3, 0)))
+
+
 def test_plane_consistency_enforced():
     th = np.array([[0.0, 0.0], [0.5, 0.1], [0.0, 0.0]])
     ph = np.zeros((3, 2))
