@@ -207,10 +207,11 @@ def cmd_connection(args) -> str:
         p = _load_json_file(args.point, _decode_point)
     else:
         theta = parse_angle_list(args.theta) if args.theta else []
-        n = len(theta) if args.n is None else args.n
-        if not theta:
-            theta = [0.0] * n
-        phi = parse_angle_list(args.phi) if args.phi else [0.0] * len(theta)
+        phi = parse_angle_list(args.phi) if args.phi else []
+        # n from --n, else from the lists given (--phi alone sets it too)
+        n = len(theta or phi) if args.n is None else args.n
+        theta = theta or [0.0] * n
+        phi = phi or [0.0] * len(theta)
         p = ControlPoint(n, np.array(theta), np.array(phi))
     return dump_json(connection_analytic(p).to_json_dict())
 

@@ -100,6 +100,14 @@ def test_connection_known_value(capsys):
     assert abs(re_) < 1e-14 and abs(im + 0.5) < 1e-14
 
 
+def test_connection_takes_n_from_phi_alone(capsys):
+    # --phi as the only list sets n, with every theta 0
+    code, out = run_cli(["connection", "--phi", "0.1,0.2"], capsys)
+    assert code == 0
+    for argv in (["--n", "2", "--phi", "0.1,0.2"], ["--theta", "0,0", "--phi", "0.1,0.2"]):
+        assert run_cli(["connection", *argv], capsys) == (0, out)
+
+
 def test_connection_malformed_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -211,6 +219,7 @@ BAD_FILES = {
     # theta and phi of unequal length are an error, never padded with zeros
     ["connection", "--theta", "0.1,0.2", "--phi", "0.3"],
     ["connection", "--n", "3", "--phi", "0.1"],
+    ["connection", "--n", "1", "--phi", "0.1,0.2"],
     # a loop file checks its n before its vertex arrays
     ["verify", "--loop", "{zero_n_loop}", "--time", "1"],
 ])

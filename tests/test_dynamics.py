@@ -18,8 +18,9 @@ from cpn_holonomy import dynamics
 from cpn_holonomy.chart import frame_unitary_batch
 from cpn_holonomy.dynamics import MAX_STEPS
 from cpn_holonomy.gates import split_step
-from cpn_holonomy.linalg import max_abs_diff, rank1_product, unitarity_defect
-from dynamics_oracle import arclength_interpolator, interp_propagator, kick_nodes, midpoint_nodes
+from cpn_holonomy.linalg import fold_left, max_abs_diff, rank1_product, unitarity_defect
+from dynamics_oracle import (arclength_interpolator, grid_steps, interp_grid_propagator,
+                             interp_propagator, kick_nodes, midpoint_nodes)
 
 C1_QUARTER = GateStep("C1", 1, None, np.pi / 4)
 
@@ -165,8 +166,9 @@ def test_propagator_unitarity():
 
 
 def test_propagator_second_order():
-    # midpoint sampling is second order in dt; left endpoints would be first order
-    loop = realize_step_as_loop(GateStep("C3", 1, 2, 0.7), 2)
+    # midpoint sampling is second order in dt on edges that move several
+    # coordinates; left endpoints would be first order
+    loop = _random_loop(np.random.default_rng(7), 2)
     ref = propagate_frames(loop, 50.0, 2 ** 17)
     errs = [max_abs_diff(propagate_frames(loop, 50.0, steps), ref)
             for steps in (1000, 2000, 4000, 8000)]
@@ -182,24 +184,26 @@ def _random_loop(rng, n, vertices=5):
 
 
 def _dense_product(thetas, phis, dt):
-    """prod_k expm(-i H(lambda_k) dt), later left, from the dense Hamiltonian."""
+    """prod_k expm(-i H(lambda_k) dt_k), later left, from the dense Hamiltonian."""
     n = thetas.shape[1]
     u = np.eye(n + 1, dtype=complex)
-    for th, ph in zip(thetas, phis):
+    for th, ph, step in zip(thetas, phis, np.broadcast_to(dt, len(thetas))):
         h = hamiltonian_at(ControlPoint(n, th, ph))
-        u = expm(-1j * h * dt) @ u
+        u = expm(-1j * h * step) @ u
     return u
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_rank1_stepper_matches_dense_expm(n):
-    # step counts inside one chunk of the stepper, at its edge and past it
+    # step counts inside one chunk of the stepper, at its edge and past it;
+    # every edge moves every coordinate, so each takes rank-1 midpoint steps
     rng = np.random.default_rng(40 + n)
     loop = _random_loop(rng, n)
     total = 1.3 * 30.0
     for steps in (1, 31, 32, 33, 300):
-        th, ph = arclength_interpolator(loop)(midpoint_nodes(steps))
-        expect = _dense_product(th, ph, total / steps)
+        _, nodes, dts = grid_steps(loop, total, steps)
+        th, ph = arclength_interpolator(loop)(np.concatenate(nodes))
+        expect = _dense_product(th, ph, np.concatenate(dts))
         assert max_abs_diff(propagate_frames(loop, total, steps), expect) <= 1e-12
 
         th, ph = arclength_interpolator(loop)(kick_nodes(steps))
@@ -230,7 +234,8 @@ def _loop_with_levels(rng, kinds, vertices):
 def _check_against_all_levels(u, thetas, phis, dt):
     """u against the stepper run on all n+1 levels; levels whose theta is 0 at
     every sample must come out as exact identity rows and columns."""
-    expect = rank1_product(np.exp(-1j * dt) - 1.0, excited_state_batch(thetas, phis))
+    a = np.exp(-1j * np.broadcast_to(dt, len(thetas))) - 1.0
+    expect = rank1_product(a, excited_state_batch(thetas, phis))
     assert max_abs_diff(u, expect) <= 1e-13
     dead = np.flatnonzero(np.all(thetas == 0.0, axis=0))
     eye = np.eye(len(u))
@@ -249,19 +254,15 @@ def test_live_level_stepping_matches_all_levels(kinds, vertices, steps, seed):
     rng = np.random.default_rng(seed)
     loop = _loop_with_levels(rng, kinds, vertices)
     total = 1.3 * 20.0
-    for u, nodes in ((propagate_frames(loop, total, steps), midpoint_nodes(steps)),
-                     (kick_evolution(loop, total, steps), kick_nodes(steps))):
-        _check_against_all_levels(u, *arclength_interpolator(loop)(nodes), total / steps)
+    _, nodes, dts = grid_steps(loop, total, steps)
+    _check_against_all_levels(propagate_frames(loop, total, steps),
+                              *arclength_interpolator(loop)(np.concatenate(nodes)),
+                              np.concatenate(dts))
+    _check_against_all_levels(kick_evolution(loop, total, steps),
+                              *arclength_interpolator(loop)(kick_nodes(steps)), total / steps)
 
 
 # ---------- per-edge sampling ----------
-
-def _interp_propagator(loop, total, steps):
-    """propagate_frames by np.interp of every live column at every step, then
-    excited_state_batch of the angles: the oracle of its per-edge sampling."""
-    return interp_propagator(loop, total, midpoint_nodes(steps),
-                             dynamics._live_levels(loop.thetas))
-
 
 def _same_bits(a, b):
     """Equal values and equal signs of zero, entry by entry."""
@@ -317,22 +318,35 @@ def _sampled_loop(rng, kinds, edges):
 @example(["neg_zero", "free"], ["axis", "axis", "axis"], 33, 1)
 @example(["zero", "neg_zero"], ["oblique", "still"], 7, 2)  # no live level
 @example(["free"], ["axis", "axis", "axis"], 7, 3)  # odd step count: a sample at s = 0.5
+@example(["free", "const"], ["oblique", "still", "oblique"], 33, 4)  # rank-1 edges only
 def test_per_edge_sampling_matches_interp(kinds, edges, steps, seed):
-    # propagate_frames pays trig only where an edge moves a column, and its
-    # propagator is still the np.interp path's, bit for bit
+    # the sampler pays trig only where an edge moves a column, and its states
+    # are the np.interp path's, bit for bit; so is the propagator of a loop
+    # without two-level edges, fed the nodes of the knot-aligned grid
     rng = np.random.default_rng(seed)
     loop = _sampled_loop(rng, kinds, edges)
-    assert _same_bits(propagate_frames(loop, 1.3 * 20.0, steps),
-                      _interp_propagator(loop, 1.3 * 20.0, steps))
+    _check_sampler(loop, midpoint_nodes(steps))
+    g = dynamics._grid(loop, steps)
+    if not np.any((g.kind == dynamics.THETA) | (g.kind == dynamics.PHI)):
+        assert _same_bits(propagate_frames(loop, 1.3 * 20.0, steps),
+                          interp_grid_propagator(loop, 1.3 * 20.0, steps))
+
+
+def _check_sampler(loop, nodes):
+    live, v = dynamics._excited_states(loop, nodes)
+    assert _same_bits(v, excited_state_batch(*arclength_interpolator(loop, live)(nodes)))
 
 
 def test_per_edge_sampling_of_programs_matches_interp():
-    # the named gates' composite loops move one coordinate per edge
+    # the named gates' composite loops move one coordinate per edge; the kick
+    # scheme samples them at its left endpoints
     for name in NAMED_GATES:
         loop = program_schedule(two_qubit_gate(name))
         for steps in (1, 33, 5001):
-            assert _same_bits(propagate_frames(loop, 250.0, steps),
-                              _interp_propagator(loop, 250.0, steps)), (name, steps)
+            _check_sampler(loop, midpoint_nodes(steps))
+            assert _same_bits(kick_evolution(loop, 250.0, steps),
+                              interp_propagator(loop, 250.0, kick_nodes(steps),
+                                                dynamics._live_levels(loop.thetas))), (name, steps)
 
 
 @settings(max_examples=60, deadline=None)
@@ -358,6 +372,154 @@ def test_edge_trig_on_knots_matches_interp(edges, columns, extra, seed):
         angle = np.interp(s, knots, values[:, c])
         cos, sin = column(c)
         assert _same_bits(cos, np.cos(angle)) and _same_bits(sin, np.sin(angle))
+
+
+# ---------- knot-aligned grid and two-level steps ----------
+
+def _rectangle(n, level, corners, thetas, phis):
+    """Axis-aligned rectangle in the (theta_level, phi_level) plane, 1-based level,
+    from (corners[0], corners[1]) to (corners[2], corners[3]); every other
+    coordinate is frozen at thetas/phis."""
+    t0, p0, t1, p1 = corners
+    th, ph = np.tile(thetas, (5, 1)), np.tile(phis, (5, 1))
+    th[:, level - 1] = [t0, t1, t1, t0, t0]
+    ph[:, level - 1] = [p0, p0, p1, p1, p0]
+    return LoopPath(n, th, ph)
+
+
+def _dense_grid_product(loop, total, steps, refine):
+    """prod expm(-i H dt) over midpoints of each grid edge's counts * refine
+    equal time steps, on the knot times of dynamics._grid. H = |v><v| takes
+    v from the frame's rotation product, and expm is scipy's, batched."""
+    g = dynamics._grid(loop, steps)
+    nodes, dts = [], []
+    for e, m in enumerate(g.counts * refine):
+        window = g.tau[e + 1] - g.tau[e]
+        nodes.append(dynamics.smoothstep(g.tau[e] + (np.arange(m) + 0.5) * window / m))
+        dts.append(np.full(m, total * window / m))
+    v = frame_unitary_batch(*arclength_interpolator(loop)(np.concatenate(nodes)))[:, :, -1]
+    h = v[:, :, None] * v.conj()[:, None, :]
+    return fold_left(expm(-1j * h * np.concatenate(dts)[:, None, None]))
+
+
+TWO_LEVEL_LOOPS = {
+    # theta_2 and phi_2 edges below theta_3 = 0.9: c spans levels 3 and 4
+    "rect": (3, 2, (0.3, 0.5, 1.1, 2.2), [0.0, 0.0, 0.9], [0.3, 0.0, 2.0]),
+    # from theta_1 = 0: its phi edge at theta_1 = 0 leaves H constant
+    "origin": (2, 1, (0.0, 0.4, 0.8, 1.9), [0.0, 0.6], [0.0, 1.2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_LEVEL_LOOPS))
+def test_two_level_steps_match_dense_expm(name):
+    # the co-rotating steps of theta and phi edges converge at second order
+    # to the dense midpoint product at 32 times the steps, far below theirs
+    loop = _rectangle(*TWO_LEVEL_LOOPS[name])
+    assert {dynamics.THETA, dynamics.PHI} <= set(dynamics._grid(loop, 200).kind)
+    total = 10.0
+    fine, finer = (_dense_grid_product(loop, total, 200, r) for r in (16, 32))
+    coarse = max_abs_diff(propagate_frames(loop, total, 200), finer)
+    assert coarse <= 1e-4
+    assert max_abs_diff(propagate_frames(loop, total, 800), finer) <= coarse / 10
+    assert max_abs_diff(fine, finer) <= coarse / 50
+
+
+@pytest.mark.parametrize("name", NAMED_GATES)
+def test_named_gates_match_midpoint_path_at_16x(name):
+    # the uniform-grid midpoint path at 16 and 32 times the steps converges
+    # towards the two-level steps: they sit within its own error
+    loop = program_schedule(two_qubit_gate(name))
+    total, steps = 250.0, 5000
+    u = propagate_frames(loop, total, steps)
+    live = dynamics._live_levels(loop.thetas)
+    fine, finer = (interp_propagator(loop, total, midpoint_nodes(r * steps), live) for r in (16, 32))
+    assert max_abs_diff(u, fine) <= 2.0 * max_abs_diff(fine, finer)
+    assert max_abs_diff(u, finer) <= max_abs_diff(fine, finer)
+
+
+@pytest.mark.filterwarnings("ignore:leakage exceeds")
+@pytest.mark.parametrize("name", NAMED_GATES)
+def test_named_gate_transport_converged_at_default_steps(name):
+    # the transport moves by less than 1e-5 when the steps double
+    loop = program_schedule(two_qubit_gate(name))
+    for total in (250.0, 484.375, 1000.0):
+        u, diag = adiabatic_transport(loop, total)
+        v, _ = adiabatic_transport(loop, total, 2 * diag.steps)
+        assert diag.steps == np.ceil(20 * total)
+        assert max_abs_diff(u.matrix, v.matrix) < 1e-5, total
+
+
+def _check_grid(loop, total, steps):
+    g = dynamics._grid(loop, steps)
+    knot_times = total * g.tau
+    assert knot_times[0] == 0.0 and knot_times[-1] == total
+    assert np.all(np.diff(g.tau) > 0)
+    knots = dynamics._knots(loop)[0]
+    if knots.size > 1:
+        assert max_abs_diff(dynamics.smoothstep(g.tau), knots) <= 1e-15
+    moving = g.kind != dynamics.CONSTANT
+    dt = total * np.diff(g.tau) / g.counts
+    assert np.all(dt[moving] <= total / steps * (1 + 1e-14))
+    assert np.all(g.counts[~moving] == 1) and np.all(g.counts >= 1)
+    # the budget, or the least that keeps dt <= T / steps; constant edges alone take one each
+    least = np.sum(~moving) + np.sum(np.maximum(np.ceil(np.diff(g.tau)[moving] * steps), 1))
+    assert np.sum(g.counts) == (max(steps, least) if np.any(moving) else g.kind.size)
+    return g
+
+
+def test_grid_of_named_gates():
+    # constant-H edges take one step; the other edges share the rest of the
+    # budget, so the counts add up to steps and dt <= T / steps where H moves
+    expect = {"CROT": (8, 4), "XOR": (16, 9), "SWAP": (18, 11), "PHASE2": (84, 52)}
+    for name in NAMED_GATES:
+        loop = program_schedule(two_qubit_gate(name))
+        for total in (250.0, 484.375, 1000.0):
+            steps = int(20 * total)
+            g = _check_grid(loop, total, steps)
+            assert np.sum(g.counts) == steps
+            assert set(g.kind) <= {dynamics.CONSTANT, dynamics.THETA}
+            if name in expect:
+                assert (g.kind.size, np.sum(g.kind != dynamics.CONSTANT)) == expect[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(THETA_KINDS), min_size=1, max_size=4),
+       st.lists(st.sampled_from(EDGE_KINDS), min_size=1, max_size=6),
+       st.sampled_from([1, 2, 7, 33, 200, 4000]), st.integers(0, 2 ** 32 - 1))
+@example(["free", "half_pi", "zero", "const"], ["axis", "axis", "still", "oblique"], 200, 0)
+@example(["zero"], ["still"], 7, 1)  # a degenerate loop: one constant edge
+def test_grid_of_random_loops(kinds, edges, steps, seed):
+    loop = _sampled_loop(np.random.default_rng(seed), kinds, edges)
+    _check_grid(loop, 1.3 * 20.0, steps)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+@example(2, 0)
+def test_phi_shift_conjugates_two_level_steps(n, seed):
+    # the phi shift of test_phi_shift_conjugates_both_propagators on loops
+    # whose edges move one coordinate each, every lower theta 0: the
+    # co-rotating steps on theta and phi edges conjugate exactly too
+    rng = np.random.default_rng(seed)
+    level = int(rng.integers(1, n + 1))
+    thetas = np.where(np.arange(n) < level - 1, 0.0, rng.uniform(0.2, 1.4, n))
+    phis = rng.uniform(0.5, 2.5, n)
+    t0, t1 = np.sort(rng.uniform(0.0, np.pi / 2, 2))
+    p0, p1 = rng.uniform(0.5, 2.5, 2)
+    shift = rng.uniform(0.0, 3.0, n)
+    p = np.append(np.exp(1j * shift), 1.0)
+    base = _rectangle(n, level, (t0, p0, t1, p1), thetas, phis)
+    moved = LoopPath(n, base.thetas, base.phis + shift)
+    assert dynamics.THETA in dynamics._grid(base, 200).kind
+    u, v = (propagate_frames(loop, 1.3 * 20.0, 200) for loop in (base, moved))
+    assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12
+    for name in ("CROT", "PHASE2"):
+        loop = program_schedule(two_qubit_gate(name))
+        shift = rng.uniform(0.0, 2 * np.pi - np.max(loop.phis), loop.n)
+        p = np.append(np.exp(1j * shift), 1.0)
+        u = propagate_frames(loop, 250.0, 5000)
+        v = propagate_frames(LoopPath(loop.n, loop.thetas, loop.phis + shift), 250.0, 5000)
+        assert max_abs_diff(v, p[:, None] * u * p.conj()) <= 1e-12
 
 
 @pytest.mark.parametrize("total,steps", [(0.0, 10), (-1.0, 10), (np.inf, 10),

@@ -96,20 +96,21 @@ def test_rank1_product_matches_fold_left_of_factors(d):
     # one chunk up to CHUNK steps; past it, whole chunks and chunks with a
     # tail at chunk lengths 4 (CHUNK + 1 = 8 x 4 + 1, 36 = 9 x 4), 7 (1001 =
     # 143 x 7, 1002), 31 (4095 = 132 x 31 + 3) and CHUNK (4096 = 128 x 32, 4097)
+    # one coefficient per step
     rng = np.random.default_rng(70 + d)
-    a = np.exp(-0.37j) - 1.0
     for m in (1, 3, CHUNK, CHUNK + 1, 36, 1001, 1002, 4095, 4096, 4097):
+        a = np.exp(-1j * rng.uniform(0.0, 0.5, m)) - 1.0
         v = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         v[rng.random(m) < 0.25] = 0.0  # zero rows are identity steps
         before = v.copy()
-        factors = np.eye(d) + a * v[:, :, None] * v.conj()[:, None, :]
+        factors = np.eye(d) + a[:, None, None] * v[:, :, None] * v.conj()[:, None, :]
         got = rank1_product(a, v)
         assert got.shape == (d, d)
         assert np.max(np.abs(got - fold_left(factors))) <= 1e-13
         assert np.array_equal(v, before)
     with pytest.raises(ValueError):
-        rank1_product(a, np.zeros((0, d), dtype=complex))
+        rank1_product(np.zeros(0, dtype=complex), np.zeros((0, d), dtype=complex))
 
 
 def _per_entry(m):
