@@ -74,31 +74,33 @@ def frame_unitary_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return u
 
 
-def excited_state_from_trig(n: int, batch: tuple, trig) -> np.ndarray:
-    """Level-(n+1) eigenstates for a batch of points, from the cos and sin of the angles.
+def excited_state_from_angles(n: int, batch: tuple, angles) -> np.ndarray:
+    """Level-(n+1) eigenstates for a batch of points, from their angles.
 
     Closed form of frame column n+1: v_j = e^{i phi_j} sin(theta_j)
     prod_{k<j} cos(theta_k) for j <= n and v_{n+1} = prod_k cos(theta_k),
     O(n) per point instead of the n rotation matmuls of the full frame; the
     result has shape batch + (n+1,). With n = 0 v is the one-level state 1.
 
-    trig(j) returns cos(theta_j), sin(theta_j), cos(phi_j), sin(phi_j) over
-    the batch, for j = 0..n-1 in turn, so a caller may obtain them any way
-    it likes (dynamics samples them per edge). The real and imaginary parts
-    are written directly, cos(phi_j) sin(theta_j) prod_{k<j} cos(theta_k)
-    and the same with sin(phi_j): the values of the complex product, without
-    a complex exponential.
+    angles(j) returns theta_j and phi_j over the batch, for j = 0..n-1 in
+    turn, each an array of shape batch or one value that holds over all of
+    it, so a caller may sample them any way it likes (dynamics passes a
+    column that stays put along the loop as its one value, and its cos and
+    sin are then taken once). The real and imaginary parts are written
+    directly, cos(phi_j) sin(theta_j) prod_{k<j} cos(theta_k) and the same
+    with sin(phi_j): the values of the complex product, without a complex
+    exponential.
     """
     v = np.empty(batch + (n + 1,), dtype=complex)
-    prefix = None  # prod_{k<j} cos(theta_k), multiplied up one level at a time
+    prefix = 1.0  # prod_{k<j} cos(theta_k), multiplied up one level at a time
     for j in range(n):
-        cos_theta, sin_theta, cos_phi, sin_phi = trig(j)
-        for part, trig_phi in ((v.real, cos_phi), (v.imag, sin_phi)):
+        theta, phi = angles(j)
+        sin_theta = np.sin(theta)
+        for part, trig_phi in ((v.real, np.cos(phi)), (v.imag, np.sin(phi))):
             np.multiply(trig_phi, sin_theta, out=part[..., j])
-            if prefix is not None:
-                part[..., j] *= prefix
-        prefix = cos_theta if prefix is None else prefix * cos_theta
-    v.real[..., n] = 1.0 if prefix is None else prefix
+            part[..., j] *= prefix
+        prefix = prefix * np.cos(theta)
+    v.real[..., n] = prefix
     v.imag[..., n] = 0.0
     return v
 

@@ -288,9 +288,16 @@ def cmd_verify(args) -> str:
     return dump_json(report)
 
 
+def _interval_count(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"--n-list entries must be integers, got {text.strip()!r}") from None
+
+
 def cmd_kick(args) -> str:
     loop, _ = _loop_from_args(args)
-    n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
+    n_list = [_interval_count(x) for x in args.n_list.split(",") if x.strip()]
     if not n_list:
         raise ValueError("--n-list must contain at least one interval count")
     # every count and the time are checked before the reference run starts

@@ -49,18 +49,17 @@ the product is formed at dimension |live| + 1 and embedded in the
 (n+1) x (n+1) identity. A loop with no live level (phis moving at
 theta = 0) gives diag(1, ..., 1, e^{-i T}).
 
-Rank-1 steps are sampled through one helper (_excited_states), per edge
-(_edge_trig): along an edge a column that does not move keeps its vertex
-value; one searchsorted of the knots gives each edge its run of nodes, and
-cos and sin of a live theta or phi are evaluated only on the runs of the
-edges that move it, at the value linear interpolation between the knots
-gives. The excited states are then assembled level by level from these
-values (chart.excited_state_from_trig). linalg.rank1_product applies the
-steps in place, x <- x + a_j v_j (v_j† x), to chunks of consecutive steps
-at once (linalg.rank1_chunk sets their length from the step count): O(d^2)
-per step, and no d x d factor is formed. Step and interval counts above
-MAX_STEPS are input errors, raised before any sampling; this includes the
-count that adiabatic_transport raises to keep dt <= MAX_EPS_DT.
+Rank-1 steps are sampled through one helper (_excited_states): each live
+theta or phi column is np.interp of the nodes on the knots, except that a
+column that holds one value over the whole loop is passed as that value,
+whose cos and sin are taken once. The excited states are then assembled
+level by level from these angles (chart.excited_state_from_angles).
+linalg.rank1_product applies the steps in place, x <- x + a_j v_j (v_j† x),
+to chunks of consecutive steps at once (linalg.rank1_chunk sets their
+length from the step count): O(d^2) per step, and no d x d factor is
+formed. Step and interval counts above MAX_STEPS are input errors, raised
+before any sampling; this includes the count that adiabatic_transport
+raises to keep dt <= MAX_EPS_DT.
 
 Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
@@ -80,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .chart import excited_state_from_trig, frame_unitary
+from .chart import excited_state_from_angles, frame_unitary
 from .holonomy import UnitaryMatrix
 from .loops import LoopPath
 
@@ -124,53 +123,6 @@ def _knots(loop: LoopPath, cols=slice(None)):
     return knots, th[idx][:, cols], ph[idx][:, cols]
 
 
-def _edge_trig(knots: np.ndarray, values: np.ndarray, s: np.ndarray):
-    """cos and sin of np.interp(s, knots, col) for each column of values, bit for bit.
-
-    values holds one row per knot; s is sorted. Returns column(c), which
-    gives the cos and sin of column c at every sample, one column at a time
-    so that only a few vectors of len(s) are alive at once.
-
-    One searchsorted of the knots cuts s into runs: the samples before the
-    first knot, then for each knot those from it up to the next knot (a
-    repeated knot keeps none; past the last knot, all the rest). Where a
-    column does not move along an edge, linear interpolation's
-    slope * (s - knot) + value is the vertex value, so the run repeats the
-    vertex's cos and sin; so do the runs outside the knots, which hold the
-    end values. Only where a column moves are cos and sin evaluated, at each
-    sample, on that formula's value. A -0.0 vertex is the one value the
-    formula changes (+0.0 off the knot, -0.0 on it), so a column with one
-    goes through np.interp itself.
-    """
-    first = np.searchsorted(s, knots)
-    lengths = np.diff(first, prepend=0, append=s.size)
-    table = np.concatenate([values[:1], values]).T  # columns x runs
-    cos_table, sin_table = np.cos(table), np.sin(table)
-    # the (column, edge) pairs where the column moves, column by column
-    col, edge = np.nonzero(np.diff(values, axis=0).T != 0)
-    count = lengths[edge + 1]
-    col, edge, count = col[count > 0], edge[count > 0], count[count > 0]
-    ends = np.cumsum(count)
-    bounds = np.append(0, ends)[np.searchsorted(col, np.arange(values.shape[1] + 1))]
-    rows = np.repeat(first[edge] - (ends - count), count) + np.arange(bounds[-1])
-    slope = (values[edge + 1, col] - values[edge, col]) / (knots[edge + 1] - knots[edge])
-    x = (np.repeat(slope, count) * (s[rows] - np.repeat(knots[edge], count))
-         + np.repeat(values[edge, col], count))
-    signed_zero = np.any(np.signbit(values) & (values == 0.0), axis=0)
-
-    def column(c):
-        moving = slice(bounds[c], bounds[c + 1])
-        if signed_zero[c]:
-            angle = np.interp(s, knots, values[:, c])
-            return np.cos(angle), np.sin(angle)
-        cos, sin = np.repeat(cos_table[c], lengths), np.repeat(sin_table[c], lengths)
-        cos[rows[moving]] = np.cos(x[moving])
-        sin[rows[moving]] = np.sin(x[moving])
-        return cos, sin
-
-    return column
-
-
 def _live_levels(thetas: np.ndarray) -> np.ndarray:
     """Levels (0-based, below n+1) whose theta is nonzero in some row of thetas.
 
@@ -183,9 +135,11 @@ def _live_levels(thetas: np.ndarray) -> np.ndarray:
 def _excited_states(loop: LoopPath, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The live levels of the loop and v, one row per node of s in [0, 1].
 
-    The live angles are sampled per edge (_edge_trig), so a node pays trig
-    only for the coordinates its edge moves; linear interpolation keeps a
-    zero theta column zero, so the loop's vertices decide the live levels.
+    Each live angle column is np.interp of the nodes on the knots, but one
+    with the same value at every vertex and no sign bit set is passed as
+    that value, which np.interp returns at every node (from a -0.0 vertex
+    it gives +0.0 between knots). Linear interpolation keeps a zero theta
+    column zero, so the loop's vertices decide the live levels.
     """
     live = _live_levels(loop.thetas)
     return live, _states_at(*_knots(loop, live), nodes)
@@ -193,9 +147,14 @@ def _excited_states(loop: LoopPath, nodes: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _states_at(knots: np.ndarray, th: np.ndarray, ph: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """v at the nodes, from the knots and the live columns there (see _excited_states)."""
-    column = _edge_trig(knots, np.concatenate([th, ph], axis=1), nodes)
+    values = np.concatenate([th, ph], axis=1)
+    held = np.all(values == values[0], axis=0) & ~np.any(np.signbit(values), axis=0)
+
+    def sample(c):
+        return values[0, c] if held[c] else np.interp(nodes, knots, values[:, c])
+
     k = th.shape[1]
-    return excited_state_from_trig(k, nodes.shape, lambda j: (*column(j), *column(k + j)))
+    return excited_state_from_angles(k, nodes.shape, lambda j: (sample(j), sample(k + j)))
 
 
 def _embed(n: int, live: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -313,8 +272,7 @@ def _new_grid(loop: LoopPath, steps: int) -> _Grid:
 
 def _vertex_states(k: int, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
     """v on the live levels and level n+1 at each row of the live angle tables."""
-    return excited_state_from_trig(k, th.shape[:1], lambda j: (np.cos(th[:, j]), np.sin(th[:, j]),
-                                                               np.cos(ph[:, j]), np.sin(ph[:, j])))
+    return excited_state_from_angles(k, th.shape[:1], lambda j: (th[:, j], ph[:, j]))
 
 
 def _two_level_factors(g: _Grid, edges: np.ndarray, window: np.ndarray) -> np.ndarray:

@@ -2,13 +2,13 @@
 
 eigenstate and hamiltonian_at are built from explicit trigonometric
 products, independent of the rotation product in chart.frame_unitary_batch
-and of chart.excited_state_from_trig. excited_state_batch feeds the latter
-the cos and sin of given angles: the excited states of angles sampled some
-other way than per edge, for the dynamics tests.
+and of chart.excited_state_from_angles. excited_state_batch feeds the
+latter every column of given angle arrays: the excited states of angles
+sampled in full at every node, for the dynamics tests.
 """
 import numpy as np
 
-from cpn_holonomy.chart import THETA_MAX, ControlPoint, excited_state_from_trig
+from cpn_holonomy.chart import THETA_MAX, ControlPoint, excited_state_from_angles
 
 
 def eigenstate(p: ControlPoint, alpha: int) -> np.ndarray:
@@ -53,11 +53,10 @@ def hamiltonian_at(p: ControlPoint, eps0: float = 1.0) -> np.ndarray:
 def excited_state_batch(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Level-(n+1) eigenstates for a batch of points; theta/phi (..., n) -> (..., n+1).
 
-    chart.excited_state_from_trig of the cos and sin of the angles; with
-    n = 0 (no columns) v is the one-level state 1.
+    chart.excited_state_from_angles of the angle columns, each one array
+    over the batch; with n = 0 (no columns) v is the one-level state 1.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    trig = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-    return excited_state_from_trig(theta.shape[-1], theta.shape[:-1],
-                                   lambda j: [t[..., j] for t in trig])
+    return excited_state_from_angles(theta.shape[-1], theta.shape[:-1],
+                                     lambda j: (theta[..., j], phi[..., j]))

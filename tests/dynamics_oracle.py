@@ -4,9 +4,10 @@ Both oracles step rank-1 factors of dynamics at nodes of s in [0, 1]:
 left endpoints smoothstep(k/N) for kick_evolution; for propagate_frames,
 on a loop without two-level edges, the start knot of each constant-H edge
 and the midpoints of the equal time steps of every other edge, on the
-knot-aligned grid of dynamics._grid. dynamics samples the loop per edge;
-here every column is sampled at every node by np.interp on the same knots,
-and v comes from the angles (chart_oracle.excited_state_batch).
+knot-aligned grid of dynamics._grid. dynamics passes a column that holds
+one value over the loop as that value; here every column is sampled at
+every node by np.interp on the same knots, and v comes from the angles
+(chart_oracle.excited_state_batch).
 """
 import numpy as np
 

@@ -420,6 +420,8 @@ def test_kick_empty_nlist_exits_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["kick", "--name", "xor", "--n-list", "0"],
     ["kick", "--name", "xor", "--n-list", "250,-4"],
+    ["kick", "--name", "xor", "--n-list", "250,abc"],
+    ["kick", "--name", "xor", "--n-list", "2.5"],
     ["kick", "--name", "xor", "--n-list", "250", "--ref-steps", "0"],
     ["kick", "--name", "xor", "--n-list", "250", "--time", "inf"],
     ["kick", "--name", "xor", "--n-list", "250", "--time", "nan"],
@@ -442,6 +444,8 @@ def test_oracle_bad_time_or_count_exits_2(argv, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    if argv[-1] in ("250,abc", "2.5"):
+        assert "--n-list entries must be integers, got" in captured.err
 
 
 # ---------- circuit ----------

@@ -262,7 +262,7 @@ def test_live_level_stepping_matches_all_levels(kinds, vertices, steps, seed):
                               *arclength_interpolator(loop)(kick_nodes(steps)), total / steps)
 
 
-# ---------- per-edge sampling ----------
+# ---------- sampling ----------
 
 def _same_bits(a, b):
     """Equal values and equal signs of zero, entry by entry."""
@@ -319,9 +319,13 @@ def _sampled_loop(rng, kinds, edges):
 @example(["zero", "neg_zero"], ["oblique", "still"], 7, 2)  # no live level
 @example(["free"], ["axis", "axis", "axis"], 7, 3)  # odd step count: a sample at s = 0.5
 @example(["free", "const"], ["oblique", "still", "oblique"], 33, 4)  # rank-1 edges only
+@example(["free", "const"], ["axis", "axis", "axis"], 33, 62)  # phi_2 -0.0 at every vertex
+@example(["const", "free"], ["oblique", "axis"], 7, 7)  # a moving theta's phi -0.0 throughout
+@example(["const", "free", "half_pi"], ["axis", "oblique", "axis"], 33, 5)  # frozen thetas
 def test_per_edge_sampling_matches_interp(kinds, edges, steps, seed):
-    # the sampler pays trig only where an edge moves a column, and its states
-    # are the np.interp path's, bit for bit; so is the propagator of a loop
+    # the sampler passes a column with one value and no sign bit as that
+    # value and takes np.interp of every other; its states are the np.interp
+    # path's, bit for bit, -0.0 included; so is the propagator of a loop
     # without two-level edges, fed the nodes of the knot-aligned grid
     rng = np.random.default_rng(seed)
     loop = _sampled_loop(rng, kinds, edges)
@@ -347,31 +351,6 @@ def test_per_edge_sampling_of_programs_matches_interp():
             assert _same_bits(kick_evolution(loop, 250.0, steps),
                               interp_propagator(loop, 250.0, kick_nodes(steps),
                                                 dynamics._live_levels(loop.thetas))), (name, steps)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 6), st.integers(0, 4), st.integers(0, 40), st.integers(0, 2 ** 32 - 1))
-@example(4, 3, 10, 0)
-@example(0, 2, 5, 1)  # one knot: np.interp holds its value everywhere
-def test_edge_trig_on_knots_matches_interp(edges, columns, extra, seed):
-    # samples on the knots (each knot possibly hit several times, a knot
-    # repeated), before the first and past the last, plus interior ones
-    rng = np.random.default_rng(seed)
-    knots = np.sort(rng.random(edges + 1))
-    knots[0] = 0.0
-    if edges:
-        knots[-1] = 1.0
-    if edges >= 3:
-        knots[2] = knots[1]
-    values = rng.choice([0.0, -0.0, 0.3, np.pi / 2, 1.1], size=(edges + 1, columns))
-    values[rng.random(values.shape) < 0.5] = rng.uniform(0.0, 1.5)
-    s = np.sort(np.concatenate([rng.choice(knots, 2 * edges + 2), [-0.25, 1.25],
-                                rng.uniform(-0.1, 1.1, extra)]))
-    column = dynamics._edge_trig(knots, values, s)
-    for c in range(columns):
-        angle = np.interp(s, knots, values[:, c])
-        cos, sin = column(c)
-        assert _same_bits(cos, np.cos(angle)) and _same_bits(sin, np.sin(angle))
 
 
 # ---------- knot-aligned grid and two-level steps ----------
@@ -619,8 +598,8 @@ def test_kick_evolution_validation(monkeypatch):
 @example(["free"], ["axis", "oblique"], 1, 3)
 @example(["zero", "neg_zero"], ["oblique", "still"], 31, 4)  # no live level
 def test_kick_evolution_matches_interp(kinds, edges, intervals, seed):
-    # the kicks are sampled per edge at the left-endpoint nodes; the
-    # propagator is the one of np.interp samples at those nodes
+    # the kicks are sampled at the left-endpoint nodes; the propagator is
+    # the one of np.interp samples at those nodes
     rng = np.random.default_rng(seed)
     loop = _sampled_loop(rng, kinds, edges)
     assert np.array_equal(kick_evolution(loop, 1.3 * 20.0, intervals),
@@ -630,7 +609,7 @@ def test_kick_evolution_matches_interp(kinds, edges, intervals, seed):
 @pytest.mark.parametrize("intervals", [1, 3, 5])
 def test_kick_level_live_only_at_an_unhit_vertex(intervals):
     # theta_2 is nonzero only on the two short edges around vertex 2, between
-    # kick nodes: the per-edge route steps it (live at a vertex), the np.interp
+    # kick nodes: the sampler steps it (live at a vertex), the np.interp
     # route at the nodes does not, and the propagators agree
     th = np.array([[0.3, 0.0], [1.2, 0.0], [1.2, 0.01], [1.2, 0.0], [0.3, 0.0]])
     loop = LoopPath(2, th, np.full((5, 2), 0.7))
