@@ -36,7 +36,7 @@ The moving edges share the step budget in proportion to their windows, each
 at least ceil(window steps / T), so dt <= T / steps wherever H moves; the
 constant edges take one step each. adiabatic_transport raises the budget to
 T / MAX_EPS_DT, so that rule binds only where H moves. One factor per edge,
-or per run of consecutive rank-1 edges, is then multiplied in time order.
+or per chunk of a rank-1 edge's steps, is then multiplied in time order.
 The code subspace sits at eigenvalue 0 at every chart point, so no
 dynamical phase accrues on the code and the extracted transport matrix can
 be compared to a loop holonomy directly.
@@ -49,17 +49,20 @@ the product is formed at dimension |live| + 1 and embedded in the
 (n+1) x (n+1) identity. A loop with no live level (phis moving at
 theta = 0) gives diag(1, ..., 1, e^{-i T}).
 
-Rank-1 steps are sampled through one helper (_excited_states): each live
+Rank-1 steps are sampled through one helper (_states_at): each live
 theta or phi column is np.interp of the nodes on the knots, except that a
 column that holds one value over the whole loop is passed as that value,
 whose cos and sin are taken once. The excited states are then assembled
-level by level from these angles (chart.excited_state_from_angles).
-linalg.rank1_product applies the steps in place, x <- x + a_j v_j (v_j† x),
-to chunks of consecutive steps at once (linalg.rank1_chunk sets their
-length from the step count): O(d^2) per step, and no d x d factor is
-formed. Step and interval counts above MAX_STEPS are input errors, raised
-before any sampling; this includes the count that adiabatic_transport
-raises to keep dt <= MAX_EPS_DT.
+level by level from these angles (chart.excited_state_from_angles). The
+nodes come in the batch-last layout of linalg.run_layout, the one the
+two-level steps take too: in chunks of one edge each (_steps), or of the
+one run of kicks. So v is sampled in place, and a padding slot takes a
+zero coefficient, an exact identity step. linalg.rank1_product applies
+the steps of every chunk at once, in place, x <- x + a_j v_j (v_j† x):
+O(d^2) per step, and no d x d factor is formed. Step and interval counts
+above MAX_STEPS are input errors, raised before any sampling; this
+includes the count that adiabatic_transport raises to keep
+dt <= MAX_EPS_DT.
 
 Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
@@ -195,26 +198,7 @@ class _Grid:
     counts: np.ndarray
 
 
-_last_grid = None  # (loop, steps, grid) of the latest _grid call
-
-
 def _grid(loop: LoopPath, steps: int) -> _Grid:
-    """_new_grid(loop, steps), kept for the next call with the same arguments.
-
-    adiabatic_transport reports the step count of the grid that
-    propagate_frames has just built; a LoopPath is immutable, so the same
-    object and budget give the same grid.
-    """
-    global _last_grid
-    last = _last_grid
-    if last is not None and last[0] is loop and last[1] == steps:
-        return last[2]
-    grid = _new_grid(loop, steps)
-    _last_grid = (loop, steps, grid)
-    return grid
-
-
-def _new_grid(loop: LoopPath, steps: int) -> _Grid:
     """Edge kinds and step counts for propagating the loop with a budget of steps.
 
     An edge whose live columns do not move, or that moves one whose
@@ -275,6 +259,19 @@ def _vertex_states(k: int, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
     return excited_state_from_angles(k, th.shape[:1], lambda j: (th[:, j], ph[:, j]))
 
 
+def _steps(g: _Grid, edges: np.ndarray):
+    """The steps of the given edges in the layout of linalg.run_layout, in chunks of one edge each.
+
+    Returns chunks and owner (see run_layout), the padding mask, and for
+    each slot the step length h of its edge and the midpoint of its step,
+    tau_e + (j + 1/2) h, both as fractions of T.
+    """
+    m = g.counts[edges]
+    chunks, owner, pos = linalg.run_layout(m)
+    h = (np.diff(g.tau)[edges] / m)[owner]
+    return chunks, owner, pos >= m[owner], h, g.tau[edges][owner] + (pos + 0.5) * h
+
+
 def _two_level_factors(g: _Grid, edges: np.ndarray, window: np.ndarray) -> np.ndarray:
     """The propagators of two-level edges, each embedded as I + Q (U2 - I) Q†.
 
@@ -300,16 +297,12 @@ def _two_level_factors(g: _Grid, edges: np.ndarray, window: np.ndarray) -> np.nd
     theta0, phi0 = g.thetas[edges, lvl], g.phis[edges, lvl]
     move = np.where(on_theta, g.thetas[edges + 1, lvl] - theta0, g.phis[edges + 1, lvl] - phi0)
     jy, jz = np.where(on_theta, -1.0, 0.0), np.where(on_theta, 0.0, -0.5)  # J = jy sy + jz sz, + I/2 on phi
-    # the steps batch-last, in chunks of one edge each
-    chunks, owner, pos = linalg.run_layout(m)
-    valid = pos < m[owner]
-    h = (np.diff(g.tau)[edges] / m)[owner]
-    mid = g.tau[edges][owner] + (pos + 0.5) * h
+    chunks, owner, pad, h, mid = _steps(g, edges)
     # the ramp's move over a step, smoothstep(mid + h/2) - smoothstep(mid - h/2)
     # = h (6 mid (1 - mid) - h^2 / 2) without cancellation, as a share of the edge's
-    q = np.where(valid, 6.0 * mid * (1.0 - mid) - 0.5 * h * h, 0.0)
+    q = np.where(pad, 0.0, 6.0 * mid * (1.0 - mid) - 0.5 * h * h)
     dx = q * (move / np.add.reduceat(q.sum(axis=0), np.cumsum(chunks) - chunks))[owner]
-    half_dt = np.where(valid, (window[edges] / (2.0 * m))[owner], 0.0)
+    half_dt = np.where(pad, 0.0, (window[edges] / (2.0 * m))[owner])
     alpha, beta = linalg.su2_exp(half_dt * np.sin(2.0 * theta0)[owner], dx * jy[owner],
                                  half_dt * np.cos(2.0 * theta0)[owner] + dx * jz[owner])
     x, y = linalg.su2_runs_product(alpha, beta, chunks)
@@ -333,37 +326,38 @@ def propagate_frames(loop: LoopPath, total_time: float, steps: int) -> np.ndarra
 
     On the knot-aligned grid of _grid with a budget of steps: one exact step
     per constant-H edge, co-rotating steps on two-level edges, and rank-1
-    midpoint steps on the rest. One factor per edge, or per run of
-    consecutive rank-1 edges, is then multiplied in time order, later left.
+    midpoint steps on the rest. One factor per edge, or per chunk of a
+    rank-1 edge's steps, is then multiplied in time order, later left.
     """
+    return _propagate(loop, total_time, steps)[0]
+
+
+def _propagate(loop: LoopPath, total_time: float, steps: int) -> tuple[np.ndarray, int]:
+    """propagate_frames, and the number of steps its grid takes."""
     _check_time_and_count(total_time, steps, "steps")
     g = _grid(loop, steps)
     k = g.live.size
     window = total_time * np.diff(g.tau)
     rank1 = g.kind == RANK1
-    slot = np.cumsum(~(rank1 & np.append(False, rank1[:-1]))) - 1
-    factors = np.empty((slot[-1] + 1, k + 1, k + 1), dtype=complex)
+    edges = np.flatnonzero(rank1)
+    size = np.ones(g.kind.size, dtype=np.int64)  # factors per edge
+    if edges.size:
+        chunks, owner, pad, _, mid = _steps(g, edges)
+        size[edges] = chunks
+    first = np.cumsum(size) - size
+    factors = np.empty((np.sum(size), k + 1, k + 1), dtype=complex)
     const = np.flatnonzero(g.kind == CONSTANT)
     v = _vertex_states(k, g.thetas[const], g.phis[const])
-    factors[slot[const]] = (np.eye(k + 1) + (np.exp(-1j * window[const]) - 1.0)[:, None, None]
-                            * v[:, :, None] * v.conj()[:, None, :])
+    factors[first[const]] = (np.eye(k + 1) + (np.exp(-1j * window[const]) - 1.0)[:, None, None]
+                             * v[:, :, None] * v.conj()[:, None, :])
     two = np.flatnonzero((g.kind == THETA) | (g.kind == PHI))
     if two.size:
-        factors[slot[two]] = _two_level_factors(g, two, window)
-    edges = np.flatnonzero(rank1)
+        factors[first[two]] = _two_level_factors(g, two, window)
     if edges.size:
-        m = g.counts[edges]
-        # the time fraction runs linearly in the step index along each edge: midpoints by np.interp
-        mid = np.flatnonzero(np.repeat(rank1, g.counts)) + 0.5
-        v = _states_at(g.knots, g.thetas, g.phis,
-                       smoothstep(np.interp(mid, np.append(0, np.cumsum(g.counts)), g.tau)))
-        a = np.repeat(np.exp(-1j * window[edges] / m) - 1.0, m)
-        # a run of consecutive rank-1 edges is one product
-        ends = np.flatnonzero(np.diff(slot[edges]))
-        for first, a_run, v_run in zip(edges[np.append(0, ends + 1)], np.split(a, np.cumsum(m)[ends]),
-                                       np.split(v, np.cumsum(m)[ends])):
-            factors[slot[first]] = linalg.rank1_product(a_run, v_run)
-    return _embed(loop.n, g.live, linalg.fold_left(factors))
+        v = _states_at(g.knots, g.thetas, g.phis, smoothstep(mid))
+        a = np.where(pad, 0.0, (np.exp(-1j * window[edges] / g.counts[edges]) - 1.0)[owner])
+        factors[np.repeat(rank1, size)] = linalg.rank1_product(a, v)
+    return _embed(loop.n, g.live, linalg.fold_left(factors)), int(np.sum(g.counts))
 
 
 @dataclass
@@ -400,8 +394,7 @@ def adiabatic_transport(loop: LoopPath, total_time: float,
     steps = max(steps, float(np.ceil(total_time / MAX_EPS_DT)))
     _check_time_and_count(total_time, steps, "steps")
     steps = int(steps)
-    u_full = propagate_frames(loop, total_time, steps)
-    steps = int(np.sum(_grid(loop, steps).counts))
+    u_full, steps = _propagate(loop, total_time, steps)
     code = frame_unitary(loop.base_point)[:, : loop.n]
     m = code.conj().T @ u_full @ code
     leakage = 1.0 - np.sum(np.abs(m) ** 2, axis=0)
@@ -427,6 +420,7 @@ def kick_evolution(loop: LoopPath, total_time: float, intervals: int) -> np.ndar
     cancels and the product telescopes to exp(-i H0 T) in the base frame.
     """
     _check_time_and_count(total_time, intervals, "intervals")
-    live, v = _excited_states(loop, smoothstep(np.arange(intervals) / intervals))
-    a = np.full(intervals, np.exp(-1j * total_time / intervals) - 1.0)
-    return _embed(loop.n, live, linalg.rank1_product(a, v))
+    _, _, pos = linalg.run_layout(np.array([intervals]))
+    live, v = _excited_states(loop, smoothstep(pos / intervals))
+    a = np.where(pos < intervals, np.exp(-1j * total_time / intervals) - 1.0, 0.0)
+    return _embed(loop.n, live, linalg.fold_left(linalg.rank1_product(a, v)))

@@ -5,17 +5,17 @@ in closed form at k <= 2 (every family loop touches at most two levels, so
 its generators lie in u(2)), through an eigendecomposition above. Both are
 unitary up to roundoff, which the holonomy code relies on. The propagators
 need none; their rank-1 steps are exact in closed form (see dynamics) and
-accumulate in place, chunk by chunk, and their two-level steps multiply as
-SU(2) pairs, chunk by chunk too. Ordered products reduce pairwise, as sums
-of elementwise outer products at k <= 2 and batched matmuls above. Batched
-inputs use a leading batch axis everywhere, except inside rank1_product
-and su2_runs_product.
+accumulate in place, and their two-level steps multiply as SU(2) pairs,
+both chunk by chunk in the one batch-last layout of run_layout. Ordered
+products reduce pairwise, as sums of elementwise outer products at k <= 2
+and batched matmuls above. Batched inputs use a leading batch axis
+everywhere else.
 """
 from __future__ import annotations
 
 import numpy as np
 
-CHUNK = 32  # most steps accumulated in place per chunk; outputs depend on it at roundoff
+CHUNK = 32  # longest chunk of run_layout; rank-1 outputs depend on it at roundoff
 
 
 def unitarity_defect(m: np.ndarray) -> float:
@@ -106,58 +106,33 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def rank1_chunk(m: int) -> int:
-    """Steps per chunk of rank1_product on a run of m steps.
-
-    A run of up to CHUNK steps is one chunk. A longer one takes m // 128
-    within [4, CHUNK], so that about 128 chunks run side by side: a kick row
-    of 250-1000 steps pays 4-7 Python-level iterations instead of CHUNK, and
-    from 4096 steps on every chunk holds CHUNK steps and the chunks grow in
-    number.
-    """
-    if m <= CHUNK:
-        return max(m, 1)
-    return min(CHUNK, max(4, m // 128))
-
-
 def rank1_product(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Ordered product of the steps I + a_j |v_j><v_j| over the rows of v, later left.
+    """Ordered products of the steps I + a_j |v_j><v_j|, later left, chunk by chunk.
 
-    v has shape (M, d) and a, one coefficient per step, shape (M,). The M
-    steps are cut into K consecutive chunks of L = rank1_chunk(M), the last
-    one padded with zero rows, which are exact identity steps. All K chunk
-    products accumulate at once in a batch-last (d, d, K) array,
-    x <- x + a_j v_j (v_j† x) for j = 0..L-1: O(d^2) per step instead of a
-    d x d factor and a d^3 product. fold_left then multiplies the K chunk
-    products in time order.
+    The steps come in the (L, K) layout of run_layout: step j of chunk c has
+    the state v[j, c] (v of shape (L, K, d)) and the coefficient a[j, c]. A
+    step with a zero coefficient, as padding takes, and a step with a zero
+    state are exact identities. All K chunk products accumulate at once in a
+    batch-last (d, d, K) array, x <- x + a_j v_j (v_j† x) for j = 0..L-1:
+    O(d^2) per step instead of a d x d factor and a d^3 product. Returns the
+    K chunk products, shape (K, d, d), for the caller to multiply in time
+    order.
 
-    Each iteration forms its own conjugated and scaled rows, from a (d, K)
-    slice of the one padded copy of v. Forming them for all steps at once
-    was measured slower, from 17 000 steps on by up to 40% (d = 2-5), as it
-    adds two arrays the size of v that the loop streams through.
+    Each iteration forms its own conjugated and scaled rows from its slice
+    of v. Forming them for all steps at once was measured slower, from
+    17 000 steps on by up to 40% (d = 2-5), as it adds two arrays the size of
+    v that the loop streams through.
     """
-    m, d = v.shape
-    chunk = rank1_chunk(m)
-    w, coef = _batch_last(v, chunk), _batch_last(a[:, None], chunk)[:, 0]
-    x = np.zeros((d,) + w.shape[1:], dtype=complex)
+    _, k, d = v.shape
+    x = np.zeros((d, d, k), dtype=complex)
     x[np.arange(d), np.arange(d)] = 1.0
-    s = np.empty(w.shape[1:], dtype=complex)
+    s = np.empty((d, k), dtype=complex)
     t = np.empty_like(x)
-    for wj, aj in zip(w, coef):
+    for wj, aj in zip(v.transpose(0, 2, 1), a):
         np.einsum("ik,ick->ck", wj.conj(), x, out=s)  # v_j† x in every chunk
         np.multiply((aj * wj)[:, None, :], s, out=t)
         x += t
-    return fold_left(x.transpose(2, 0, 1))
-
-
-def _batch_last(rows: np.ndarray, chunk: int) -> np.ndarray:
-    """(M, d) rows as (chunk, d, K) with out[j, :, c] = rows[c * chunk + j], zero-padded."""
-    m, d = rows.shape
-    k, tail = divmod(m, chunk)
-    out = np.zeros((chunk, d, k + (tail > 0)), dtype=rows.dtype)
-    out[:, :, :k] = rows[: k * chunk].reshape(k, chunk, d).transpose(1, 2, 0)
-    out[:tail, :, k:] = rows[k * chunk:, :, None]
-    return out
+    return x.transpose(2, 0, 1)
 
 
 def su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,14 +153,22 @@ def su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> tuple[np.ndarray,
 def run_layout(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch-last layout of consecutive runs of counts[r] >= 1 items, in chunks of one run each.
 
-    The chunk length L is the least power of two at or above the longest
-    run, at most CHUNK; run r takes chunks[r] = ceil(counts[r] / L) chunks.
-    Returns chunks, and for each slot [j, c] of the (L, K) layout the run
-    that owns it (owner, by chunk) and the position in its run of the item
-    there (pos): item pos = L i + j of chunk i of the run; pos >= counts of
-    its run marks padding.
+    The chunk length L is a power of two. If no run is longer than CHUNK,
+    L is the least one at or above the longest run, and every run is one
+    chunk. Otherwise L is the greatest one at or below total / 128 within
+    [4, CHUNK], total = sum(counts), so that about 128 chunks or more run
+    side by side: a run of 250-1000 items takes L = 4, and from 4096 items
+    in total L = CHUNK and the chunks grow in number. Run r takes
+    chunks[r] = ceil(counts[r] / L) chunks. Returns chunks, and for each
+    slot [j, c] of the (L, K) layout the run that owns it (owner, by chunk)
+    and the position in its run of the item there (pos): item pos = L i + j
+    of chunk i of the run; pos >= counts of its run marks padding.
     """
-    chunk = min(CHUNK, 1 << int(counts.max() - 1).bit_length())
+    longest = int(counts.max())
+    if longest <= CHUNK:
+        chunk = 1 << (longest - 1).bit_length()
+    else:
+        chunk = min(CHUNK, 1 << max(2, (int(counts.sum()) // 128).bit_length() - 1))
     chunks = -(-counts // chunk)
     owner = np.repeat(np.arange(counts.size), chunks)
     pos = ((np.arange(owner.size) - np.repeat(np.cumsum(chunks) - chunks, chunks)) * chunk

@@ -7,13 +7,15 @@ and the midpoints of the equal time steps of every other edge, on the
 knot-aligned grid of dynamics._grid. dynamics passes a column that holds
 one value over the loop as that value; here every column is sampled at
 every node by np.interp on the same knots, and v comes from the angles
-(chart_oracle.excited_state_batch).
+(chart_oracle.excited_state_batch). The nodes are laid out as dynamics lays
+out its steps (linalg.run_layout, padding included), so that both feed
+linalg.rank1_product the same chunks.
 """
 import numpy as np
 
 from chart_oracle import excited_state_batch
 from cpn_holonomy.dynamics import CONSTANT, PHI, THETA, _grid, _knots, smoothstep
-from cpn_holonomy.linalg import fold_left, rank1_product
+from cpn_holonomy.linalg import fold_left, rank1_product, run_layout
 from cpn_holonomy.loops import LoopPath
 
 
@@ -73,26 +75,33 @@ def grid_steps(loop: LoopPath, total_time: float, steps: int):
 def interp_grid_propagator(loop: LoopPath, total_time: float, steps: int) -> np.ndarray:
     """propagate_frames on a loop without two-level edges, from np.interp samples.
 
-    Each constant-H edge is its own factor I + (e^{-i w} - 1)|v><v|, each
-    run of consecutive rank-1 edges one rank1_product; the factors multiply
-    in time order.
+    Each constant-H edge is its own factor I + (e^{-i w} - 1)|v><v|; the
+    steps of the other edges, at the midpoints tau_e + (j + 1/2) h_e laid
+    out in chunks of one edge each, give one rank1_product factor per chunk;
+    the factors multiply in time order.
     """
     g, nodes, _ = grid_steps(loop, total_time, steps)
     lam = arclength_interpolator(loop, g.live)
     window = total_time * np.diff(g.tau)
     d = g.live.size + 1
-    factors, run = [], []
+    edges = np.flatnonzero(g.kind != CONSTANT)
+    chunks = np.zeros(g.kind.size, dtype=int)
+    if edges.size:
+        m = g.counts[edges]
+        chunks[edges], owner, pos = run_layout(m)
+        h = np.diff(g.tau)[edges] / m
+        v = excited_state_batch(*lam(smoothstep(g.tau[edges][owner] + (pos + 0.5) * h[owner])))
+        a = np.where(pos < m[owner], (np.exp(-1j * window[edges] / m) - 1.0)[owner], 0.0)
+        products = rank1_product(a, v)
+    factors = []
     for e, kind in enumerate(g.kind):
-        v = excited_state_batch(*lam(nodes[e]))
         if kind == CONSTANT:
+            v = excited_state_batch(*lam(nodes[e]))
             factors.append(np.eye(d) + (np.exp(-1j * window[e:e + 1]) - 1.0)[:, None, None]
                            * v[:, :, None] * v.conj()[:, None, :])
-            continue
-        run.append((np.repeat(np.exp(-1j * window[e:e + 1] / g.counts[e]) - 1.0, g.counts[e]), v))
-        if e + 1 == g.kind.size or g.kind[e + 1] == CONSTANT:
-            factors.append(rank1_product(np.concatenate([a for a, _ in run]),
-                                         np.concatenate([v for _, v in run]))[None])
-            run = []
+        else:
+            first = np.sum(chunks[:e])
+            factors.append(products[first:first + chunks[e]])
     return embed(loop.n, g.live, fold_left(np.concatenate(factors)))
 
 
@@ -109,10 +118,25 @@ def interp_propagator(loop: LoopPath, total_time: float, nodes: np.ndarray,
 
     The steps act on the levels in live and level n+1, embedded in the
     identity; live defaults to the levels whose theta is nonzero at some
-    node.
+    node. The nodes are laid out as one run; the padding takes the node
+    s = 1, as kick_evolution's smoothstep(pos / N) does, and a zero
+    coefficient.
     """
     if live is None:
         live = np.flatnonzero(np.any(arclength_interpolator(loop)(nodes)[0] != 0.0, axis=0))
-    v = excited_state_batch(*arclength_interpolator(loop, live)(nodes))
-    a = np.full(len(nodes), np.exp(-1j * total_time / len(nodes)) - 1.0)
-    return embed(loop.n, live, rank1_product(a, v))
+    m = len(nodes)
+    _, _, pos = run_layout(np.array([m]))
+    s = np.where(pos < m, nodes[np.minimum(pos, m - 1)], 1.0)
+    v = excited_state_batch(*arclength_interpolator(loop, live)(s))
+    a = np.where(pos < m, np.exp(-1j * total_time / m) - 1.0, 0.0)
+    return embed(loop.n, live, fold_left(rank1_product(a, v)))
+
+
+def rank1_steps(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Ordered product of the steps I + a_j |v_j><v_j|, later left, for a of shape (M,)
+    and v of shape (M, d): rank1_product on them laid out as one run, with zero
+    coefficients as padding, and fold_left of its chunk products."""
+    m = len(a)
+    _, _, pos = run_layout(np.array([m]))
+    at = np.minimum(pos, m - 1)
+    return fold_left(rank1_product(np.where(pos < m, a[at], 0.0), v[at]))

@@ -1,11 +1,11 @@
 """Shared linear-algebra helpers: the segment exponential, the pairwise ordered
-product, the rank-1 stepper."""
+product, the batch-last run layout and the rank-1 stepper."""
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from cpn_holonomy.linalg import CHUNK, complex_pairs, expm_antihermitian, fold_left, \
-    rank1_chunk, rank1_product
+    rank1_product, run_layout
 
 
 def random_unitaries(rng, m, d):
@@ -86,31 +86,59 @@ def test_fold_left_empty_raises_value_error():
         fold_left(np.zeros((0, 3, 3), dtype=complex))
 
 
-def test_rank1_chunk_grows_with_the_run_up_to_chunk():
-    assert [rank1_chunk(m) for m in (1, 5, CHUNK, CHUNK + 1, 639, 640, 1001, 4095, 4096,
-                                     10 ** 6)] == [1, 5, CHUNK, 4, 4, 5, 7, 31, CHUNK, CHUNK]
+def test_run_layout_chunk_rule():
+    def chunk(*counts):
+        return run_layout(np.array(counts))[2].shape[0]
+
+    # no run longer than CHUNK: every run is one chunk
+    for counts in [(1,), (3,), (5,), (CHUNK,), (1, CHUNK, 7), (CHUNK,) * 300]:
+        chunks, _, _ = run_layout(np.array(counts))
+        assert np.all(chunks == 1), counts
+    # kick rows of 250-1000 intervals keep chunk 4; from 4096 in total, CHUNK
+    assert [chunk(m) for m in (250, 500, 1000)] == [4, 4, 4]
+    assert chunk(4095) == 16 and chunk(4096) == CHUNK and chunk(10 ** 6) == CHUNK
+    assert chunk(2048, 2048) == CHUNK and chunk(33, 4000) == 16
+    for counts in [(1,), (3,), (CHUNK + 1,), (1001,), (5000,), (40, 7, 900), (3, 70000)]:
+        counts = np.array(counts)
+        chunks, owner, pos = run_layout(counts)
+        length = pos.shape[0]
+        assert length & (length - 1) == 0 and (length <= CHUNK)
+        assert np.array_equal(chunks, -(-counts // length))
+        assert np.array_equal(owner, np.repeat(np.arange(counts.size), chunks))
+        # every item of every run once, in order, and pos >= counts marks padding
+        for r, m in enumerate(counts):
+            mine = pos[:, owner == r].T.ravel()
+            assert np.array_equal(mine, np.arange(mine.size))
+            assert np.count_nonzero(mine >= m) == mine.size - m
 
 
 @pytest.mark.parametrize("d", [2, 5, 17])
 def test_rank1_product_matches_fold_left_of_factors(d):
     # one chunk up to CHUNK steps; past it, whole chunks and chunks with a
-    # tail at chunk lengths 4 (CHUNK + 1 = 8 x 4 + 1, 36 = 9 x 4), 7 (1001 =
-    # 143 x 7, 1002), 31 (4095 = 132 x 31 + 3) and CHUNK (4096 = 128 x 32, 4097)
-    # one coefficient per step
+    # padded tail at chunk lengths 4 (CHUNK + 1, 36, 1001, 1002), 16 (4095)
+    # and CHUNK (4096, 4097); one coefficient per step, zero on the padding
     rng = np.random.default_rng(70 + d)
     for m in (1, 3, CHUNK, CHUNK + 1, 36, 1001, 1002, 4095, 4096, 4097):
-        a = np.exp(-1j * rng.uniform(0.0, 0.5, m)) - 1.0
-        v = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        v[rng.random(m) < 0.25] = 0.0  # zero rows are identity steps
+        _, _, pos = run_layout(np.array([m]))
+        pad = pos >= m
+        a = np.exp(-1j * rng.uniform(0.0, 0.5, pos.shape)) - 1.0
+        a[pad] = 0.0
+        v = rng.normal(size=pos.shape + (d,)) + 1j * rng.normal(size=pos.shape + (d,))
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        v[rng.random(pos.shape) < 0.25] = 0.0  # zero rows are identity steps
         before = v.copy()
-        factors = np.eye(d) + a[:, None, None] * v[:, :, None] * v.conj()[:, None, :]
+        steps = np.flatnonzero(~pad.T.ravel())  # time order: chunk by chunk
+        a_t, v_t = a.T.ravel()[steps], v.transpose(1, 0, 2).reshape(-1, d)[steps]
+        factors = np.eye(d) + a_t[:, None, None] * v_t[:, :, None] * v_t.conj()[:, None, :]
         got = rank1_product(a, v)
-        assert got.shape == (d, d)
-        assert np.max(np.abs(got - fold_left(factors))) <= 1e-13
+        assert got.shape == (pos.shape[1], d, d)
+        assert np.max(np.abs(fold_left(got) - fold_left(factors))) <= 1e-13
         assert np.array_equal(v, before)
-    with pytest.raises(ValueError):
-        rank1_product(np.zeros(0, dtype=complex), np.zeros((0, d), dtype=complex))
+        # zero states and zero-coefficient padding are exact identities
+        assert np.array_equal(rank1_product(np.zeros_like(a), v),
+                              np.broadcast_to(np.eye(d), got.shape))
+        assert np.array_equal(rank1_product(a, np.zeros_like(v)),
+                              np.broadcast_to(np.eye(d), got.shape))
 
 
 def _per_entry(m):
