@@ -12,9 +12,10 @@ degenerate eigenvalue-0 subspace (the code), column n+1 carries eigenvalue
 Reversing the product order changes the frame and every downstream sign,
 so it is fixed here once.
 
-Functions with a trailing underscore-free "batch" variant accept arrays of
-shape (..., n) and return matching batched matrices or vectors; these are
-the hot paths for the loop integrator and the propagators.
+frame_unitary_batch accepts angle arrays of shape (..., n) and returns the
+matching batched frames; in the package only frame_unitary, its one-point
+form, calls it, and the test oracles use the batch. The propagators' hot
+path is excited_state_from_angles, which builds frame column n+1 alone.
 """
 from __future__ import annotations
 

@@ -54,7 +54,7 @@ from .gates import GateProgram, GateStep, compile_u2_block, embed_two_level, \
     named_gate_matrix, primitive_holonomy, program_schedule, realize_step_as_loop, \
     two_qubit_gate
 from .holonomy import UnitarityError, check_segment_budget, holonomy
-from .loops import FAMILIES, LoopPath, enclosed_area, json_int
+from .loops import FAMILIES, LoopPath, as_int, enclosed_area
 from .multipartite import Register, apply_circuit, gate_count
 
 _PI_RE = re.compile(r"^\s*([+-]?)(\d+(?:\.\d*)?)?\s*\*?\s*pi\s*(?:/\s*(\d+(?:\.\d*)?))?\s*$",
@@ -179,7 +179,7 @@ def _load_json_file(path: str, decode):
 
 
 def _decode_point(d) -> ControlPoint:
-    return ControlPoint(json_int(d["n"], "n"), np.array(d["theta"], float),
+    return ControlPoint(as_int(d["n"], "n"), np.array(d["theta"], float),
                         np.array(d["phi"], float))
 
 
@@ -194,7 +194,7 @@ def _decode_circuit(entries) -> list:
         if isinstance(gate, dict):
             gate = dec_matrix(gate["matrix"])
         i, j = entry["pair"]
-        circuit.append(((json_int(i, "pair"), json_int(j, "pair")), gate))
+        circuit.append(((as_int(i, "pair"), as_int(j, "pair")), gate))
     return circuit
 
 
@@ -518,14 +518,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_angles(sys.argv[1:] if argv is None else argv))
     try:
-        text = args.func(args)
+        _emit(args, args.func(args))
     except UnitarityError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, text)
     return 0
 
 

@@ -20,12 +20,14 @@ one of three kinds:
 
 - constant H: |v><v| does not move along it (a phi edge at theta = 0, or
   at theta = pi/2 below lower thetas 0, and edges that move only dead
-  columns). One exact rank-1 step covers its window.
+  columns). One exact rank-1 step covers its window, taken by
+  linalg.rank1_product in a one-slot layout like every other rank-1 step.
 - two-level: it moves one theta_a or phi_a with every lower theta exactly
   0, so v stays in a fixed two-dimensional span and H turns rigidly there.
   It is stepped in the co-rotating frame, where the generator is constant
-  but for the scalar speed of the ramp: closed-form 2 x 2 exponentials,
-  multiplied as SU(2) pairs and embedded as I + Q (U2 - I) Q†
+  but for the scalar speed of the ramp: closed-form 2 x 2 exponentials
+  (linalg.su2_exp, the loop integrator's k = 2 form), multiplied as SU(2)
+  pairs and embedded as I + Q (U2 - I) Q†
   (_two_level_factors). Every edge that moves H in a gate program's loop
   is of this kind.
 - rank-1: every other edge (oblique, or a theta edge below a nonzero lower
@@ -84,7 +86,7 @@ import numpy as np
 from . import linalg
 from .chart import excited_state_from_angles, frame_unitary
 from .holonomy import UnitaryMatrix
-from .loops import LoopPath
+from .loops import LoopPath, as_int
 
 MAX_EPS_DT = 0.05  # stepper resolution rule: dt <= this, in units of 1/epsilon0
 MAX_STEPS = 2 ** 22  # most steps or kick intervals one propagation may take
@@ -98,13 +100,20 @@ def smoothstep(x):
     return 3.0 * x**2 - 2.0 * x**3
 
 
-def _check_time_and_count(total_time: float, count: float, name: str):
+def _check_time_and_count(total_time: float, count: float, name: str) -> int:
+    """The count as an int, once it and the time are valid; a ValueError naming them if not.
+
+    The count must be at least 1, at most MAX_STEPS and integral: integral
+    floats and numpy integers pass, booleans and NaN do not. Integrality is
+    checked last, so that an infinite count reads as too large.
+    """
     if not (np.isfinite(total_time) and total_time > 0):
         raise ValueError(f"total time must be finite and positive, got {total_time!r}")
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count!r}")
     if count > MAX_STEPS:
         raise ValueError(f"{name} must be <= {MAX_STEPS}, got {count!r}")
+    return as_int(count, name)
 
 
 def _knots(loop: LoopPath, cols=slice(None)):
@@ -288,9 +297,9 @@ def _two_level_factors(g: _Grid, edges: np.ndarray, window: np.ndarray) -> np.nd
     edge's move. The phase of every factor is taken out, so they multiply
     as SU(2) pairs (linalg.su2_runs_product: the steps of an edge in chunks
     of up to CHUNK pairwise, then the chunks), and U2 is e^{-i window / 2}
-    times the product: the phases add up to that on either kind of edge.
+    times the product (linalg.su2_matrix): the phases add up to that on
+    either kind of edge.
     """
-    m = g.counts[edges]
     lvl = g.level[edges]
     on_theta = g.kind[edges] == THETA
     rows = np.arange(edges.size)
@@ -302,16 +311,12 @@ def _two_level_factors(g: _Grid, edges: np.ndarray, window: np.ndarray) -> np.nd
     # = h (6 mid (1 - mid) - h^2 / 2) without cancellation, as a share of the edge's
     q = np.where(pad, 0.0, 6.0 * mid * (1.0 - mid) - 0.5 * h * h)
     dx = q * (move / np.add.reduceat(q.sum(axis=0), np.cumsum(chunks) - chunks))[owner]
-    half_dt = np.where(pad, 0.0, (window[edges] / (2.0 * m))[owner])
+    half_dt = np.where(pad, 0.0, (window[edges] / (2.0 * g.counts[edges]))[owner])
     alpha, beta = linalg.su2_exp(half_dt * np.sin(2.0 * theta0)[owner], dx * jy[owner],
                                  half_dt * np.cos(2.0 * theta0)[owner] + dx * jz[owner])
     x, y = linalg.su2_runs_product(alpha, beta, chunks)
     fa, fb = linalg.su2_exp(np.zeros(edges.size), -move * jy, -move * jz)  # e^{i X J}, phase apart
-    alpha, beta = fa * x - fb.conj() * y, fb * x + fa.conj() * y
-    phase = np.exp(-0.5j * window[edges])
-    u2 = np.empty((edges.size, 2, 2), dtype=complex)
-    u2[:, 0, 0], u2[:, 0, 1] = phase * alpha - 1.0, -phase * beta.conj()
-    u2[:, 1, 0], u2[:, 1, 1] = phase * beta, phase * alpha.conj() - 1.0
+    u2 = linalg.su2_matrix(*linalg.su2_mul(fa, fb, x, y), np.exp(-0.5j * window[edges])) - np.eye(2)
     d = g.live.size + 1
     th = g.thetas[edges].copy()
     th[rows, lvl] = 0.0
@@ -334,7 +339,7 @@ def propagate_frames(loop: LoopPath, total_time: float, steps: int) -> np.ndarra
 
 def _propagate(loop: LoopPath, total_time: float, steps: int) -> tuple[np.ndarray, int]:
     """propagate_frames, and the number of steps its grid takes."""
-    _check_time_and_count(total_time, steps, "steps")
+    steps = _check_time_and_count(total_time, steps, "steps")
     g = _grid(loop, steps)
     k = g.live.size
     window = total_time * np.diff(g.tau)
@@ -346,10 +351,9 @@ def _propagate(loop: LoopPath, total_time: float, steps: int) -> tuple[np.ndarra
         size[edges] = chunks
     first = np.cumsum(size) - size
     factors = np.empty((np.sum(size), k + 1, k + 1), dtype=complex)
-    const = np.flatnonzero(g.kind == CONSTANT)
+    const = np.flatnonzero(g.kind == CONSTANT)  # one step each, in a one-slot layout
     v = _vertex_states(k, g.thetas[const], g.phis[const])
-    factors[first[const]] = (np.eye(k + 1) + (np.exp(-1j * window[const]) - 1.0)[:, None, None]
-                             * v[:, :, None] * v.conj()[:, None, :])
+    factors[first[const]] = linalg.rank1_product(np.exp(-1j * window[const])[None] - 1.0, v[None])
     two = np.flatnonzero((g.kind == THETA) | (g.kind == PHI))
     if two.size:
         factors[first[two]] = _two_level_factors(g, two, window)
@@ -386,14 +390,12 @@ def adiabatic_transport(loop: LoopPath, total_time: float,
     excited level. Leakage above LEAKAGE_BOUND warns of a non-adiabatic run
     (reported, not fatal). The step budget is raised if needed so that
     dt <= MAX_EPS_DT wherever H moves; the diagnostics report the steps the
-    grid takes. A bad time, a count below 1 and a count (requested or
-    raised) above MAX_STEPS are ValueErrors.
+    grid takes. A bad time, a count that is not an integer or is below 1,
+    and a count (requested or raised) above MAX_STEPS are ValueErrors.
     """
-    _check_time_and_count(total_time, steps, "steps")
-    # a float count, so that a huge T fails the check below instead of int()
-    steps = max(steps, float(np.ceil(total_time / MAX_EPS_DT)))
-    _check_time_and_count(total_time, steps, "steps")
-    steps = int(steps)
+    steps = _check_time_and_count(total_time, steps, "steps")
+    raised = float(np.ceil(total_time / MAX_EPS_DT))  # a float: a huge T fails the check, not int()
+    steps = _check_time_and_count(total_time, max(steps, raised), "steps")
     u_full, steps = _propagate(loop, total_time, steps)
     code = frame_unitary(loop.base_point)[:, : loop.n]
     m = code.conj().T @ u_full @ code
@@ -419,7 +421,7 @@ def kick_evolution(loop: LoopPath, total_time: float, intervals: int) -> np.ndar
     propagate_frames takes on its rank-1 edges. On a degenerate loop every kick
     cancels and the product telescopes to exp(-i H0 T) in the base frame.
     """
-    _check_time_and_count(total_time, intervals, "intervals")
+    intervals = _check_time_and_count(total_time, intervals, "intervals")
     _, _, pos = linalg.run_layout(np.array([intervals]))
     live, v = _excited_states(loop, smoothstep(pos / intervals))
     a = np.where(pos < intervals, np.exp(-1j * total_time / intervals) - 1.0, 0.0)

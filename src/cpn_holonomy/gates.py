@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .holonomy import UnitaryMatrix, check_segment_budget, holonomy
 from .loops import (CLOSURE_TOL, FAMILIES, RECTANGLE_CORNERS, LoopPath, PlaneTag, _bulk_point,
-                    json_int, rectangle_loop)
+                    as_int, rectangle_loop)
 
 MAX_RECT_AREA = {"C1": 1.5 * np.pi, "C2": 1.5 * np.pi, "C3": np.pi / 2, "C4": np.pi / 2}
 _ZERO_AREA = 1e-14
@@ -226,14 +226,14 @@ class GateProgram:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GateProgram":
-        steps = tuple(GateStep(s["family"], json_int(s["beta"], "beta"),
+        steps = tuple(GateStep(s["family"], as_int(s["beta"], "beta"),
                                None if s.get("beta_bar") is None
-                               else json_int(s["beta_bar"], "beta_bar"), float(s["area"]))
+                               else as_int(s["beta_bar"], "beta_bar"), float(s["area"]))
                       for s in d["steps"])
         if float(d.get("residual_phase", 0.0)) != 0.0:
             raise ValueError("a nonzero residual_phase is not supported: a program's "
                              "matrix is the product of its steps")
-        return cls(json_int(d["n"], "n"), steps)
+        return cls(as_int(d["n"], "n"), steps)
 
 
 def program_schedule(program: GateProgram) -> LoopPath:

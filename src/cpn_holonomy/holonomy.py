@@ -76,7 +76,7 @@ import numpy as np
 
 from . import linalg
 from .connection import connection_along
-from .loops import LoopPath
+from .loops import LoopPath, as_int
 
 ACCEPT_DEFECT = 1e-9
 REJECT_DEFECT = 1e-6
@@ -222,13 +222,13 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     k^2 connection nodes, k the levels left after dropping the idle ones
     (see the module docstring).
     """
-    if segments_per_edge < 1:
+    s = as_int(segments_per_edge, "segments_per_edge")
+    if s < 1:
         raise ValueError("segments_per_edge must be >= 1")
     check_segment_budget(loop.num_vertices - 1, segments_per_edge, loop.n)
     u = np.eye(loop.n, dtype=complex)
     if loop.is_degenerate():
         return UnitaryMatrix.from_raw(u)
-    s = segments_per_edge
     edges = np.flatnonzero(~_silent_edges(loop.thetas, loop.phis, s))
     # a level that never moves and has theta == 0 at every vertex enters no
     # generator (connection_along drops it too), so its columns are left out

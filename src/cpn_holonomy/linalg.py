@@ -1,15 +1,19 @@
 """Small dense-linear-algebra helpers shared across the package.
 
-Exponentials of the loop integrator's anti-hermitian generators are exact:
-in closed form at k <= 2 (every family loop touches at most two levels, so
-its generators lie in u(2)), through an eigendecomposition above. Both are
-unitary up to roundoff, which the holonomy code relies on. The propagators
-need none; their rank-1 steps are exact in closed form (see dynamics) and
-accumulate in place, and their two-level steps multiply as SU(2) pairs,
-both chunk by chunk in the one batch-last layout of run_layout. Ordered
-products reduce pairwise, as sums of elementwise outer products at k <= 2
-and batched matmuls above. Batched inputs use a leading batch axis
-everywhere else.
+Each exact step has one kernel here, which both the loop integrator and
+the propagators call. Exponentials of the integrator's anti-hermitian
+generators are exact: in closed form at k <= 2 (every family loop touches
+at most two levels, so its generators lie in u(2)), through an
+eigendecomposition above. The k = 2 form is su2_exp, the one SU(2) closed
+form, which also gives the co-rotating two-level steps of the propagators;
+su2_mul multiplies such pairs and su2_matrix writes one out as a 2 x 2
+matrix. Every route is unitary up to roundoff, which the holonomy code
+relies on. Every rank-1 step I + a|v><v| of the propagators (a kick, a
+midpoint step, or the one step of a constant-H edge) goes through
+rank1_product, in place, chunk by chunk in the one batch-last layout of
+run_layout. Ordered products reduce pairwise, as sums of elementwise outer
+products at k <= 2 and batched matmuls above. Batched inputs use a leading
+batch axis everywhere else.
 """
 from __future__ import annotations
 
@@ -52,25 +56,11 @@ def expm_antihermitian(g: np.ndarray) -> np.ndarray:
 
 
 def _expm_u2(g: np.ndarray) -> np.ndarray:
-    """The k = 2 closed form of expm_antihermitian, elementwise over the batch.
-
-    The SU(2) factor is written by its real and imaginary parts, one rounding
-    each, and then multiplied by the phase.
-    """
+    """The k = 2 closed form of expm_antihermitian: e^{-i a0} su2_exp(Re b, -Im b, a3)."""
     h00, h11 = -g[..., 0, 0].imag, -g[..., 1, 1].imag  # Re of the diagonal of H = iG
-    b = (1j * g[..., 1, 0]).conjugate()  # H01 as eigh reads it, from the lower entry
-    a0, a3 = (h00 + h11) / 2, (h00 - h11) / 2
-    r = np.hypot(a3, np.abs(b))
-    s = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
-    c, sa3, sb_re, sb_im = np.cos(r), s * a3, s * b.real, s * b.imag
-    out = np.empty(g.shape, dtype=complex)
-    re, im = out.real, out.imag
-    re[..., 0, 0], im[..., 0, 0] = c, -sa3
-    re[..., 1, 1], im[..., 1, 1] = c, sa3
-    re[..., 0, 1], im[..., 0, 1] = sb_im, -sb_re  # -i s b
-    re[..., 1, 0], im[..., 1, 0] = -sb_im, -sb_re  # -i s conj(b)
-    out *= np.exp(-1j * a0)[..., None, None]
-    return out
+    h10 = 1j * g[..., 1, 0]  # conj(b), the lower entry of H, which eigh reads
+    alpha, beta = su2_exp(h10.real, h10.imag, (h00 - h11) / 2)
+    return su2_matrix(alpha, beta, np.exp(-1j * ((h00 + h11) / 2)))
 
 
 def fold_left(factors: np.ndarray) -> np.ndarray:
@@ -140,14 +130,37 @@ def su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> tuple[np.ndarray,
 
     The pair (alpha, beta) stands for [[alpha, -conj(beta)], [beta, conj(alpha)]].
     With r = |a| and s = sin(r) / r (exactly 1 at r = 0): alpha = cos r - i s az,
-    beta = s ay - i s ax, their parts written directly.
+    beta = s ay - i s ax, their parts written directly. r is the square root
+    of the sum of squares, or hypot where the squares overflow, so that the
+    pair stays finite and unitary up to norms near the float maximum.
     """
-    r = np.sqrt(ax * ax + ay * ay + az * az)
+    with np.errstate(over="ignore"):
+        r = np.sqrt(ax * ax + ay * ay + az * az)
+    if not np.isfinite(r).all():
+        r = np.where(np.isfinite(r), r, np.hypot(np.hypot(ax, ay), az))
     s = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
     alpha, beta = np.empty(r.shape, dtype=complex), np.empty(r.shape, dtype=complex)
     alpha.real, alpha.imag = np.cos(r), -s * az
     beta.real, beta.imag = s * ay, -s * ax
     return alpha, beta
+
+
+def su2_mul(a1: np.ndarray, b1: np.ndarray,
+            a0: np.ndarray, b0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The SU(2) pair of (a1, b1) times (a0, b0), elementwise (see su2_exp).
+
+    Four complex multiplications instead of a 2 x 2 matmul's eight.
+    """
+    return a1 * a0 - b1.conj() * b0, b1 * a0 + a1.conj() * b0
+
+
+def su2_matrix(alpha: np.ndarray, beta: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """phase times the 2 x 2 matrix of the SU(2) pair (alpha, beta), elementwise (see su2_exp)."""
+    out = np.empty(alpha.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1] = alpha, -beta.conj()
+    out[..., 1, 0], out[..., 1, 1] = beta, alpha.conj()
+    out *= phase[..., None, None]
+    return out
 
 
 def run_layout(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,13 +198,12 @@ def su2_runs_product(alpha: np.ndarray, beta: np.ndarray,
     chunks. Neighbouring factors (2i, 2i + 1) multiply pairwise, in every
     chunk at once, until one is left per chunk; the chunk products, laid
     out the same way in chunks of their runs, reduce again, until one is
-    left per run. A product of two pairs costs four complex multiplications
-    instead of a 2 x 2 matmul's eight. Returns the pairs of the run products.
+    left per run, each product by su2_mul. Returns the pairs of the run
+    products.
     """
     while True:
         while alpha.shape[0] > 1:
-            x0, y0, x1, y1 = alpha[0::2], beta[0::2], alpha[1::2], beta[1::2]
-            alpha, beta = x1 * x0 - y1.conj() * y0, y1 * x0 + x1.conj() * y0
+            alpha, beta = su2_mul(alpha[1::2], beta[1::2], alpha[0::2], beta[0::2])
         x, y = alpha[0], beta[0]
         if x.size == chunks.size:
             return x, y

@@ -23,6 +23,7 @@ quadrature error.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,11 @@ class PlaneTag:
     frozen: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for c in self.coords:
+        for c in (*self.coords, *self.frozen):
             _split_coord(c)
-        for c in self.frozen:
-            _split_coord(c)
+        for c, value in self.frozen.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -np.inf < value < np.inf:
+                raise ValueError(f"frozen {c} must be a finite number, got {value!r}")
 
     def axes(self) -> tuple[tuple[str, int], tuple[str, int]]:
         return _split_coord(self.coords[0]), _split_coord(self.coords[1])
@@ -60,9 +62,12 @@ def _split_coord(name: str) -> tuple[str, int]:
     return kind, int(idx)
 
 
-def json_int(value, name: str) -> int:
-    """An integer JSON field; int() would truncate 4.7 to 4 and read true as 1."""
-    if isinstance(value, bool) or not (isinstance(value, int) or
+def as_int(value, name: str) -> int:
+    """An integer JSON field or count; int() would truncate 4.7 to 4 and read true as 1.
+
+    Integral floats and numpy integers pass; booleans and NaN do not.
+    """
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) or
                                        isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -146,13 +151,15 @@ class LoopPath:
     @classmethod
     def from_json_dict(cls, d: dict) -> tuple["LoopPath", int]:
         pts = d["points"]
+        if any(len(v) != 2 for v in pts):
+            raise ValueError("each loop point must be a [thetas, phis] pair")
         th = np.array([v[0] for v in pts], dtype=float)
         ph = np.array([v[1] for v in pts], dtype=float)
         plane = None
         if d.get("plane"):
             plane = PlaneTag(tuple(d["plane"]["coords"]), dict(d["plane"].get("frozen", {})))
-        loop = cls(json_int(d["n"], "n"), th, ph, plane, d.get("family"))
-        return loop, json_int(d.get("segments_per_edge", 64), "segments_per_edge")
+        loop = cls(as_int(d["n"], "n"), th, ph, plane, d.get("family"))
+        return loop, as_int(d.get("segments_per_edge", 64), "segments_per_edge")
 
 
 # ---------- oriented enclosed areas ----------

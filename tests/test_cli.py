@@ -222,16 +222,25 @@ BAD_FILES = {
     ["connection", "--n", "1", "--phi", "0.1,0.2"],
     # a loop file checks its n before its vertex arrays
     ["verify", "--loop", "{zero_n_loop}", "--time", "1"],
+    # a loop file's frozen plane values are finite numbers, and its points are pairs
+    ["holonomy", "--loop", "{text_frozen_loop}"],
+    ["holonomy", "--loop", "{triple_point_loop}"],
+    # an --out that cannot be written is an input error, not a traceback
+    ["gate", "--name", "xor", "--out", "{missing_dir}/x"],
+    ["gate", "--name", "xor", "--out", "{directory}"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(
         segments_per_edge=16)
     files = {"loop": tmp_path / "loop.json", "nan_loop": tmp_path / "nan.json",
-             "target": tmp_path / "target.json"}
+             "target": tmp_path / "target.json", "missing_dir": tmp_path / "missing",
+             "directory": tmp_path}
     files["loop"].write_text(json.dumps(loop))
     files["target"].write_text(json.dumps({"matrix": SIGMA_X}))
     contents = dict(BAD_FILES, fractional_segments_loop=dict(loop, segments_per_edge=2.9),
-                    fractional_n_loop=dict(loop, n=1.5))
+                    fractional_n_loop=dict(loop, n=1.5),
+                    text_frozen_loop=dict(loop, plane=dict(loop["plane"], frozen={"theta:2": "x"})),
+                    triple_point_loop=dict(loop, points=[p + [[1.0]] for p in loop["points"]]))
     for name, value in contents.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(value))

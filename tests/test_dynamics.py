@@ -1,5 +1,7 @@
 """Dynamical verifiers: adiabatic transport and the kick scheme."""
 import ast
+import functools
+import importlib
 import tracemalloc
 from pathlib import Path
 
@@ -534,6 +536,69 @@ def test_schedule_validation(monkeypatch):
     for total in (1e300, 1.0 + MAX_STEPS * dynamics.MAX_EPS_DT):
         with pytest.raises(ValueError, match="steps must be <="):
             adiabatic_transport(loop, total, steps=10)
+
+
+COUNTED = {  # entry point -> (call on a loop and a count, the count's name)
+    "propagate_frames": (lambda loop, c: propagate_frames(loop, 10.0, c), "steps"),
+    "adiabatic_transport": (lambda loop, c: adiabatic_transport(loop, 4000.0, c)[0].matrix, "steps"),
+    "kick_evolution": (lambda loop, c: kick_evolution(loop, 10.0, c), "intervals"),
+    "holonomy": (lambda loop, c: holonomy(loop, c).matrix, "segments_per_edge"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNTED))
+def test_counts_must_be_integers(entry, monkeypatch):
+    # a boolean, fractional or NaN count is a ValueError naming it, raised
+    # before any work; numpy integers are counts like any other
+    # the module: as an attribute of the package, the name is the function
+    holonomy_module = importlib.import_module("cpn_holonomy.holonomy")
+
+    def no_work(*args):
+        raise AssertionError("worked before the count was checked")
+
+    call, name = COUNTED[entry]
+    loop = program_schedule(two_qubit_gate("CROT"))
+    for module, helper in ((dynamics, "_grid"), (dynamics, "_excited_states"),
+                           (holonomy_module, "connection_along")):
+        monkeypatch.setattr(module, helper, no_work)
+    for bad in (2.5, np.float64(2.5), np.nan, True, False):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call(loop, bad)
+    monkeypatch.undo()
+    assert np.array_equal(call(loop, np.int64(3)), call(loop, 3))
+
+
+def _family_polygon(family, seed, vertices=7):
+    """A seeded random polygon in the plane of a C1-C4 step at n = 3."""
+    step = GateStep(family, 1, None if family == "C1" else 2, 0.0)
+    rng = np.random.default_rng(seed)
+    (k0, _), (k1, _) = step.plane().axes()
+    x, y = (rng.uniform(0.1, 1.4 if kind == "theta" else 6.0, vertices) for kind in (k0, k1))
+    return loop_from_plane_vertices(3, step.plane(), list(zip(x, y)), family)
+
+
+REPEATABLE = {
+    "CROT": lambda: program_schedule(two_qubit_gate("CROT")),
+    "PHASE2": lambda: program_schedule(two_qubit_gate("PHASE2")),
+    **{family: functools.partial(_family_polygon, family, seed)
+       for seed, family in enumerate(("C1", "C2", "C3", "C4"))},
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(REPEATABLE)), st.integers(0, 2 ** 16))
+@example("CROT", 0)  # the first vertex
+@example("PHASE2", -1)  # the last vertex
+def test_repeated_vertex_changes_no_bit(name, at):
+    # a zero-length edge is dropped by both propagators and by the integrator,
+    # so repeating any vertex gives the same bytes
+    loop = REPEATABLE[name]()
+    at %= loop.num_vertices
+    keep = np.insert(np.arange(loop.num_vertices), at, at)
+    twin = LoopPath(loop.n, loop.thetas[keep], loop.phis[keep], loop.plane, loop.family)
+    for run in (lambda l: propagate_frames(l, 300.0, 3000), lambda l: kick_evolution(l, 30.0, 500),
+                lambda l: holonomy(l, 8).matrix):
+        assert _same_bits(run(twin), run(loop))
 
 
 # ---------- kick scheme ----------

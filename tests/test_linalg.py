@@ -1,11 +1,17 @@
-"""Shared linear-algebra helpers: the segment exponential, the pairwise ordered
-product, the batch-last run layout and the rank-1 stepper."""
+"""Shared linear-algebra helpers: the segment exponential, the SU(2) closed form
+and pair products, the pairwise ordered product, the batch-last run layout and
+the rank-1 stepper."""
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from cpn_holonomy import GateStep, primitive_holonomy
 from cpn_holonomy.linalg import CHUNK, complex_pairs, expm_antihermitian, fold_left, \
-    rank1_product, run_layout
+    rank1_product, run_layout, su2_exp, su2_matrix, su2_mul, su2_runs_product, unitarity_defect
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 def random_unitaries(rng, m, d):
@@ -55,6 +61,89 @@ def test_closed_form_exponential_reads_iG_as_eigh_does(k):
     g = random_generators(rng, 64, k, 1.0)
     g = g + 1e-3 * (rng.normal(size=g.shape) + 1j * rng.normal(size=g.shape))
     assert np.max(np.abs(expm_antihermitian(g) - eigh_route(g))) <= 1e-14
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("norm", [1e160, 1e200, 1e300])
+def test_closed_form_exponential_stays_unitary_at_huge_norms(k, norm):
+    # the squares of such entries overflow; the result must stay finite and
+    # unitary, with no RuntimeWarning
+    g = random_generators(np.random.default_rng(50 + k), 64, k, norm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = expm_antihermitian(g)
+    assert np.all(np.isfinite(got))
+    assert max(unitarity_defect(u) for u in got) <= 1e-15
+
+
+def test_huge_area_primitive_stays_certified():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = primitive_holonomy(GateStep("C1", 1, None, 1e200), 2)
+    assert np.all(np.isfinite(u.matrix)) and u.defect <= 1e-15
+
+
+def random_su2(rng, shape, norm=1.0):
+    """Pauli vectors of the given norm, and their SU(2) pairs by su2_exp."""
+    a = rng.normal(size=(3,) + shape)
+    a *= norm / np.linalg.norm(a, axis=0)
+    return a, su2_exp(*a)
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-300, 1e-12, 1e-4, 0.5, 1.0, np.pi, 10.0])
+def test_su2_exp_and_matrix_match_scipy(norm):
+    rng = np.random.default_rng(60)
+    a, (alpha, beta) = random_su2(rng, (64,), norm)
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
+    got = su2_matrix(alpha, beta, phase)
+    assert got.shape == (64, 2, 2)
+    expect = [p * expm(-1j * np.einsum("i,ijk->jk", x, PAULI)) for p, x in zip(phase, a.T)]
+    assert np.max(np.abs(got - np.stack(expect))) <= 1e-14
+    # batched on any leading axes
+    assert np.array_equal(su2_matrix(alpha.reshape(8, 8), beta.reshape(8, 8), phase.reshape(8, 8)),
+                          got.reshape(8, 8, 2, 2))
+    if norm == 0.0:  # exactly the identity at r = 0
+        assert np.array_equal(su2_matrix(alpha, beta, np.ones(64)), np.broadcast_to(np.eye(2), got.shape))
+
+
+@pytest.mark.parametrize("norm", [1e160, 1e300])
+def test_su2_exp_stays_unitary_at_huge_norms(norm):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, (alpha, beta) = random_su2(np.random.default_rng(61), (64,), norm)
+        got = su2_matrix(alpha, beta, np.ones(64))
+    assert np.all(np.isfinite(got))
+    assert max(unitarity_defect(u) for u in got) <= 1e-15
+
+
+def test_su2_mul_matches_matmul():
+    rng = np.random.default_rng(62)
+    (_, p1), (_, p0) = random_su2(rng, (64,), 2.0), random_su2(rng, (64,), 0.7)
+    one = np.ones(64)
+    got = su2_matrix(*su2_mul(*p1, *p0), one)
+    assert np.max(np.abs(got - su2_matrix(*p1, one) @ su2_matrix(*p0, one))) <= 1e-15
+
+
+@pytest.mark.parametrize("counts", [(1,), (5,), (3, 1, CHUNK), (CHUNK + 1,), (40, 7, 900),
+                                    (1, 4096, 3), (5000,)])
+def test_su2_runs_product_matches_sequential_product(counts):
+    # each run's steps later left, with identity pairs (1, 0) on the padding,
+    # against the product of the 2 x 2 matrices one by one
+    rng = np.random.default_rng(63)
+    counts = np.array(counts)
+    chunks, owner, pos = run_layout(counts)
+    _, (alpha, beta) = random_su2(rng, pos.shape, 0.3)
+    pad = pos >= counts[owner]
+    alpha[pad], beta[pad] = 1.0, 0.0
+    x, y = su2_runs_product(alpha, beta, chunks)
+    assert x.shape == y.shape == counts.shape
+    steps = su2_matrix(alpha, beta, np.ones(pos.shape))
+    for r in range(counts.size):
+        mine = (owner == r) & ~pad
+        expect = np.eye(2)
+        for u in steps[mine][np.argsort(pos[mine])]:
+            expect = u @ expect
+        assert np.max(np.abs(su2_matrix(x[r], y[r], np.ones(())) - expect)) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
