@@ -479,8 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="segments: --cases rows of a --loop file's distance to its closed "
                         "form, the segment count doubling from --segments; on oblique "
                         "loops (edges moving two or more coordinates) it falls about 16x "
-                        "a row, and single-coordinate phi edges off the origin stay "
-                        "second order")
+                        "a row, and an edge that moves one coordinate takes one exact "
+                        "factor at any count, so an axis-aligned loop prints the same "
+                        "distance on every row")
     p.add_argument("--family", choices=FAMILIES, help="random-rects only")
     p.add_argument("--cases", type=int, default=8)
     p.add_argument("--segments", type=int, default=64)

@@ -75,13 +75,13 @@ def connection_along(theta: np.ndarray, phi: np.ndarray, d_theta: np.ndarray,
     theta, phi, d_theta, d_phi = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (theta, phi, d_theta, d_phi)))
     batch_axes = tuple(range(theta.ndim - 1))
-    moving = np.any((d_theta != 0) | (d_phi != 0), axis=batch_axes)
+    moving = ((d_theta != 0) | (d_phi != 0)).any(axis=batch_axes)
     if not moving.any():
         return np.flatnonzero(moving), np.zeros(theta.shape[:-1] + (0, 0), dtype=complex)
     # Levels above the last moving one enter no w_b; a level with theta == 0
     # throughout has c = 1, s = 0 and enters none either, so both are dropped.
     top = np.flatnonzero(moving)[-1]
-    cand = np.flatnonzero((moving | np.any(theta != 0, axis=batch_axes))[: top + 1])
+    cand = np.flatnonzero((moving | (theta != 0).any(axis=batch_axes))[: top + 1])
     s = np.sin(theta[..., cand])
     dth, dph = d_theta[..., cand], d_phi[..., cand]
     q = s ** 2 * dph  # k11 = -i q

@@ -25,7 +25,7 @@ CHUNK = 32  # longest chunk of run_layout; rank-1 outputs depend on it at roundo
 def unitarity_defect(m: np.ndarray) -> float:
     """Max-entry norm of M†M - I."""
     d = m.shape[-1]
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(d))))
+    return float(np.abs(m.conj().T @ m - np.eye(d)).max())
 
 
 def polar_project(m: np.ndarray) -> np.ndarray:
@@ -130,18 +130,25 @@ def su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> tuple[np.ndarray,
 
     The pair (alpha, beta) stands for [[alpha, -conj(beta)], [beta, conj(alpha)]].
     With r = |a| and s = sin(r) / r (exactly 1 at r = 0): alpha = cos r - i s az,
-    beta = s ay - i s ax, their parts written directly. r is the square root
+    beta = s ay - i s ax, their parts written in place. r is the square root
     of the sum of squares, or hypot where the squares overflow, so that the
-    pair stays finite and unitary up to norms near the float maximum.
+    pair stays finite and unitary up to norms near the float maximum. One
+    test finds out whether any square overflows: np.vdot sums the squares
+    without a floating-point warning, and its sum is finite when they are.
     """
-    with np.errstate(over="ignore"):
+    if np.vdot(ax, ax) + np.vdot(ay, ay) + np.vdot(az, az) < np.inf:
         r = np.sqrt(ax * ax + ay * ay + az * az)
-    if not np.isfinite(r).all():
+    else:
+        with np.errstate(over="ignore"):
+            r = np.sqrt(ax * ax + ay * ay + az * az)
         r = np.where(np.isfinite(r), r, np.hypot(np.hypot(ax, ay), az))
     s = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
     alpha, beta = np.empty(r.shape, dtype=complex), np.empty(r.shape, dtype=complex)
-    alpha.real, alpha.imag = np.cos(r), -s * az
-    beta.real, beta.imag = s * ay, -s * ax
+    np.cos(r, out=alpha.real)
+    np.multiply(s, ay, out=beta.real)
+    np.negative(s, out=s)
+    np.multiply(s, az, out=alpha.imag)
+    np.multiply(s, ax, out=beta.imag)
     return alpha, beta
 
 
@@ -216,7 +223,7 @@ def su2_runs_product(alpha: np.ndarray, beta: np.ndarray,
 
 
 def max_abs_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+    return float(np.abs(np.asarray(a) - np.asarray(b)).max())
 
 
 def dist_up_to_phase(u: np.ndarray, v: np.ndarray) -> float:

@@ -1,9 +1,11 @@
 """Closed control loops: representation, builders and oriented enclosed areas.
 
 A LoopPath is a closed polyline of chart points, optionally tagged with the
-two-coordinate plane it lives in plus the frozen values of all other
-coordinates. Loop vertex angles are stored as given (phi vertices must stay
-inside [0, 2pi) so linear interpolation between vertices never wraps).
+two-coordinate plane it lives in plus the frozen values of other
+coordinates; every vertex must sit at those values, to CLOSURE_TOL, and
+move no coordinate outside the plane. Loop vertex angles are stored as
+given (phi vertices must stay inside [0, 2pi) so linear interpolation
+between vertices never wraps).
 
 Orientation and area conventions, fixed project-wide and validated against
 the dynamical oracles:
@@ -93,13 +95,13 @@ class LoopPath:
         ph = np.asarray(self.phis, dtype=float)
         if th.ndim != 2 or th.shape != ph.shape or th.shape[1] != self.n or th.shape[0] < 3:
             raise ValueError("need matching (m, n) vertex arrays with m >= 3")
-        if not (np.all(np.isfinite(th)) and np.all(np.isfinite(ph))):
+        if not (np.isfinite(th).all() and np.isfinite(ph).all()):
             raise ValueError("loop vertices must be finite")
-        if np.max(np.abs(th[0] - th[-1])) > CLOSURE_TOL or np.max(np.abs(ph[0] - ph[-1])) > CLOSURE_TOL:
+        if np.abs(th[0] - th[-1]).max() > CLOSURE_TOL or np.abs(ph[0] - ph[-1]).max() > CLOSURE_TOL:
             raise ValueError("loop is not closed: first and last vertices differ")
-        if np.any(th < -CLOSURE_TOL) or np.any(th > np.pi / 2 + CLOSURE_TOL):
+        if (th < -CLOSURE_TOL).any() or (th > np.pi / 2 + CLOSURE_TOL).any():
             raise ValueError("theta vertices must lie in [0, pi/2]")
-        if np.any(ph < 0) or np.any(ph >= 2 * np.pi):
+        if (ph < 0).any() or (ph >= 2 * np.pi).any():
             raise ValueError("phi vertices must lie in [0, 2pi)")
         if self.family is not None and self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
@@ -111,14 +113,21 @@ class LoopPath:
             self._check_plane()
 
     def _check_plane(self):
+        """The loop moves only its plane's coordinates and sits at its frozen values."""
         varying = np.zeros(2 * self.n, dtype=bool)
         for kind, idx in self.plane.axes():
             varying[(0 if kind == "theta" else self.n) + idx - 1] = True
         coords = np.concatenate([self.thetas, self.phis], axis=1)
-        drift = np.max(np.abs(coords - coords[0]), axis=0)
-        bad = np.nonzero((drift > CLOSURE_TOL) & ~varying)[0]
-        if bad.size:
+        drift = np.abs(coords - coords[0]).max(axis=0)
+        if ((drift > CLOSURE_TOL) & ~varying).any():
             raise ValueError("plane-tagged loop varies coordinates outside its plane")
+        for name, value in self.plane.frozen.items():
+            kind, idx = _split_coord(name)
+            if idx > self.n:
+                raise ValueError(f"frozen {name} is not a coordinate at n = {self.n}")
+            column = (self.thetas if kind == "theta" else self.phis)[:, idx - 1]
+            if np.abs(column - value).max() > CLOSURE_TOL:
+                raise ValueError(f"frozen {name} = {value!r} differs from the loop's vertices")
 
     @property
     def num_vertices(self) -> int:
@@ -129,8 +138,8 @@ class LoopPath:
         return ControlPoint(self.n, self.thetas[0], self.phis[0])
 
     def is_degenerate(self) -> bool:
-        return (np.max(np.abs(self.thetas - self.thetas[0])) <= CLOSURE_TOL
-                and np.max(np.abs(self.phis - self.phis[0])) <= CLOSURE_TOL)
+        return (np.abs(self.thetas - self.thetas[0]).max() <= CLOSURE_TOL
+                and np.abs(self.phis - self.phis[0]).max() <= CLOSURE_TOL)
 
     # ---------- serialization ----------
 
@@ -164,23 +173,14 @@ class LoopPath:
 
 # ---------- oriented enclosed areas ----------
 
-def _edge_mean_sin2(t0: float, t1: float) -> float:
-    """Average of sin^2 over a linearly traversed theta edge."""
-    dt = t1 - t0
-    if abs(dt) < 1e-12:
-        return float(np.sin(t0) ** 2)
-    return float(0.5 - (np.sin(2 * t1) - np.sin(2 * t0)) / (4 * dt))
-
-
-def _edge_mean_sin(t0: float, t1: float) -> float:
-    dt = t1 - t0
-    if abs(dt) < 1e-12:
-        return float(np.sin(t0))
-    return float((np.cos(t0) - np.cos(t1)) / dt)
-
-
 def enclosed_area(loop: LoopPath, family: str) -> float:
-    """Signed enclosed area of a plane-tagged loop under the family's convention."""
+    """Signed enclosed area of a plane-tagged loop under the family's convention.
+
+    Each edge adds the mean of sin^2 (C1/C2) or sin (C3/C4) of its first
+    plane coordinate, in closed form over the linearly traversed edge (the
+    value at its start when it moves that coordinate by less than 1e-12),
+    times its move in the second. The terms add in edge order.
+    """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if loop.plane is None:
@@ -189,17 +189,23 @@ def enclosed_area(loop: LoopPath, family: str) -> float:
     if family in ("C1", "C2"):
         if k0 != "theta" or k1 != "phi" or (family == "C1" and i0 != i1):
             raise ValueError(f"plane {loop.plane.coords} does not match family {family}")
-        tb = loop.thetas[:, i0 - 1]
-        pc = loop.phis[:, i1 - 1]
-        raw = sum(_edge_mean_sin2(tb[k], tb[k + 1]) * (pc[k + 1] - pc[k])
-                  for k in range(len(tb) - 1))
-        return -raw  # positive for clockwise traversal in (theta, phi)
-    if k0 != "theta" or k1 != "theta" or i0 == i1:
+        y = loop.phis[:, i1 - 1]
+    elif k0 != "theta" or k1 != "theta" or i0 == i1:
         raise ValueError(f"plane {loop.plane.coords} does not match family {family}")
-    tb = loop.thetas[:, i0 - 1]
-    tc = loop.thetas[:, i1 - 1]
-    return sum(_edge_mean_sin(tb[k], tb[k + 1]) * (tc[k + 1] - tc[k])
-               for k in range(len(tb) - 1))
+    else:
+        y = loop.thetas[:, i1 - 1]
+    t0, t1 = loop.thetas[:-1, i0 - 1], loop.thetas[1:, i0 - 1]
+    dt = t1 - t0
+    flat = np.abs(dt) < 1e-12
+    dt = np.where(flat, 1.0, dt)
+    if family in ("C1", "C2"):  # float_power squares by C pow, as a float64 scalar's ** does
+        mean = np.where(flat, np.float_power(np.sin(t0), 2),
+                        0.5 - (np.sin(2 * t1) - np.sin(2 * t0)) / (4 * dt))
+    else:
+        mean = np.where(flat, np.sin(t0), (np.cos(t0) - np.cos(t1)) / dt)
+    # a running sum from 0.0, so the total is the edge-ordered sum to the bit
+    area = np.cumsum(np.append(0.0, mean * (y[1:] - y[:-1])))[-1]
+    return -area if family in ("C1", "C2") else area  # C1/C2: positive clockwise in (theta, phi)
 
 
 # ---------- loop builders ----------

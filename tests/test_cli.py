@@ -228,10 +228,13 @@ BAD_FILES = {
     # an --out that cannot be written is an input error, not a traceback
     ["gate", "--name", "xor", "--out", "{missing_dir}/x"],
     ["gate", "--name", "xor", "--out", "{directory}"],
+    # a loop file's frozen plane values are those of its vertices
+    ["holonomy", "--loop", "{frozen_mismatch_loop}"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(
         segments_per_edge=16)
+    c2_loop = realize_step_as_loop(GateStep("C2", 1, 2, 0.5), 2).to_json_dict()
     files = {"loop": tmp_path / "loop.json", "nan_loop": tmp_path / "nan.json",
              "target": tmp_path / "target.json", "missing_dir": tmp_path / "missing",
              "directory": tmp_path}
@@ -240,7 +243,9 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     contents = dict(BAD_FILES, fractional_segments_loop=dict(loop, segments_per_edge=2.9),
                     fractional_n_loop=dict(loop, n=1.5),
                     text_frozen_loop=dict(loop, plane=dict(loop["plane"], frozen={"theta:2": "x"})),
-                    triple_point_loop=dict(loop, points=[p + [[1.0]] for p in loop["points"]]))
+                    triple_point_loop=dict(loop, points=[p + [[1.0]] for p in loop["points"]]),
+                    frozen_mismatch_loop=dict(c2_loop, plane=dict(c2_loop["plane"],
+                                                                  frozen={"theta:2": 0.25})))
     for name, value in contents.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(value))

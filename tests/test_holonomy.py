@@ -217,36 +217,78 @@ def test_integrator_fourth_order(family, plane, shape):
 
 
 def _segment_generators(th, ph, segments, along):
-    """g of every segment factor expm(-g) of the polyline (th, ph), as (edges,
-    segments, n, n).
+    """Per edge of the polyline (th, ph), the generators g of its factors
+    e^{D/2} expm(-(g + D)) e^{D/2}, as (factors, n, n), and the diagonal of D.
 
     along(theta, phi, d_theta, d_phi) is the full n x n A_delta. An edge that
-    moves one coordinate takes A_delta at its segment midpoints. An edge that
-    moves several takes the fourth-order Magnus term of the two Gauss nodes
-    at (seg + 1/2 -+ sqrt(3)/6) / segments, g = (A1 + A2)/2 + (sqrt(3)/12) [A1, A2].
+    moves one coordinate takes one factor: g is A_delta at its midpoint, and
+    D = i d_phi (zero on a theta edge). An edge that moves several takes
+    `segments` factors with D = 0: g is the fourth-order Magnus term of the
+    two Gauss nodes at (seg + 1/2 -+ sqrt(3)/6) / segments,
+    g = (A1 + A2)/2 + (sqrt(3)/12) [A1, A2].
     """
-    moved = np.count_nonzero(th[1:] != th[:-1], axis=1) + np.count_nonzero(ph[1:] != ph[:-1], axis=1)
-    step_th = np.broadcast_to(((th[1:] - th[:-1]) / segments)[:, None],
-                              (th.shape[0] - 1, segments, th.shape[1]))
-    step_ph = np.broadcast_to(((ph[1:] - ph[:-1]) / segments)[:, None], step_th.shape)
+    out = []
+    for t0, t1, p0, p1 in zip(th[:-1], th[1:], ph[:-1], ph[1:]):
+        d_th, d_ph = t1 - t0, p1 - p0
+        oblique = np.count_nonzero(d_th) + np.count_nonzero(d_ph) >= 2
+        m = segments if oblique else 1
 
-    def at(offset):
-        frac = ((np.arange(segments) + 0.5 + offset) / segments)[None, :, None]
-        return along(th[:-1, None] + (th[1:] - th[:-1])[:, None] * frac,
-                     ph[:-1, None] + (ph[1:] - ph[:-1])[:, None] * frac, step_th, step_ph)
+        def at(offset):
+            frac = ((np.arange(m) + 0.5 + offset) / m)[:, None]
+            return along(t0 + d_th * frac, p0 + d_ph * frac,
+                         np.tile(d_th / m, (m, 1)), np.tile(d_ph / m, (m, 1)))
 
-    a1, a2 = at(-np.sqrt(3) / 6), at(np.sqrt(3) / 6)
-    magnus = (a1 + a2) / 2 + np.sqrt(3) / 12 * (a1 @ a2 - a2 @ a1)
-    return np.where((moved >= 2)[:, None, None, None], magnus, at(0.0))
+        if oblique:
+            a1, a2 = at(-np.sqrt(3) / 6), at(np.sqrt(3) / 6)
+            out.append(((a1 + a2) / 2 + np.sqrt(3) / 12 * (a1 @ a2 - a2 @ a1), np.zeros(th.shape[1])))
+        else:
+            out.append((at(0.0), 1j * d_ph))
+    return out
+
+
+def _ordered_product(generators, n):
+    """The product of the factors of _segment_generators by scipy expm, later on the left."""
+    u = np.eye(n, dtype=complex)
+    for g, d in generators:
+        half = np.exp(d / 2)
+        for gi in g:
+            u = half[:, None] * expm(-(gi + np.diag(d))) * half @ u
+    return u
 
 
 def _dense_reference(loop, segments_per_edge):
     """Full n x n generators from the per-entry forms, scipy expm, sequential product."""
-    u = np.eye(loop.n, dtype=complex)
-    gens = _segment_generators(loop.thetas, loop.phis, segments_per_edge, oracle_along)
-    for g in gens.reshape(-1, loop.n, loop.n):
-        u = expm(-g) @ u  # later segments on the left
-    return u
+    return _ordered_product(_segment_generators(loop.thetas, loop.phis, segments_per_edge,
+                                                oracle_along), loop.n)
+
+
+def _pairwise_product(factors):
+    """factors[-1] @ ... @ factors[0], multiplied pairwise."""
+    while factors.shape[0] > 1:
+        pairs = factors[1::2] @ factors[0:-1:2]
+        if factors.shape[0] % 2:
+            pairs[-1] = factors[-1] @ pairs[-1]
+        factors = pairs
+    return factors[0]
+
+
+def _midpoint_limit(th, ph):
+    """Richardson limit (4 U_2048 - U_1024) / 3 of the midpoint products
+    expm(-A_delta(midpoint)) at 2^10 and 2^11 segments per edge, scipy expm,
+    from the per-entry forms. The midpoint rule is second order on every
+    edge, so the limit is fourth order, independent of the engine's factors."""
+    n = th.shape[1]
+    limit = []
+    for m in (1024, 2048):
+        u = np.eye(n, dtype=complex)
+        frac = ((np.arange(m) + 0.5) / m)[:, None]
+        for t0, t1, p0, p1 in zip(th[:-1], th[1:], ph[:-1], ph[1:]):
+            if np.any(t1 != t0) or np.any(p1 != p0):
+                a = oracle_along(t0 + (t1 - t0) * frac, p0 + (p1 - p0) * frac,
+                                 np.tile((t1 - t0) / m, (m, 1)), np.tile((p1 - p0) / m, (m, 1)))
+                u = _pairwise_product(expm(-a)) @ u
+        limit.append(u)
+    return (4 * limit[1] - limit[0]) / 3
 
 
 @pytest.mark.parametrize("family,plane,frozen", [
@@ -275,9 +317,59 @@ def test_gate_program_loop_matches_dense_reference(name):
     """Most edges of a program loop are silent connector legs; the dense
     reference exponentiates every segment, the engine skips those edges."""
     loop = program_schedule(two_qubit_gate(name))
-    assert np.any(_silent_edges(loop.thetas, loop.phis, 4))
+    assert np.any(_silent(loop.thetas, loop.phis))
     got = holonomy(loop, 4).matrix
     assert np.max(np.abs(got - _dense_reference(loop, 4))) <= 1e-12
+
+
+# theta_1 frozen at 0.5 puts w_2 != 0, so phi_2 edges off theta_2 = 0 rotate their generator
+OFF_ORIGIN_PLANE = PlaneTag(("theta:2", "phi:2"), {"theta:1": 0.5})
+
+
+def test_off_origin_phi_edge_matches_midpoint_limit():
+    """The rectangle's one live phi edge, at theta_2 = 1, takes one rotating-frame
+    factor; its theta edges are exact at the midpoint, its phi edge at
+    theta_2 = 0 is silent. The midpoint rule alone is off by 7.6e-2 here."""
+    loop = rectangle_loop(2, OFF_ORIGIN_PLANE, 1.0, 2.0, False)
+    assert _silent(loop.thetas, loop.phis).tolist() == [False, False, False, True]
+    got = holonomy(loop, 1).matrix
+    assert np.max(np.abs(got - _midpoint_limit(loop.thetas, loop.phis))) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1), num_steps=st.integers(1, 5))
+def test_axis_aligned_loop_matches_midpoint_limit(n, seed, num_steps):
+    # off the origin every phi edge's generator rotates; one factor per edge is exact
+    th, ph = _axis_polyline(seed, n, num_steps)
+    got = holonomy(LoopPath(n, th, ph), 1).matrix
+    assert np.max(np.abs(got - _midpoint_limit(th, ph))) <= 1e-9
+
+
+def test_mixed_loop_converges_at_fourth_order():
+    """A hexagon with four oblique edges and two phi edges off the origin: the
+    phi edges are exact, so the Magnus segments of the oblique ones set the
+    order. With midpoint phi edges the ratios read 4."""
+    verts = [(0.6, 1.0), (0.6, 1.8), (0.9, 2.2), (1.2, 1.8), (1.2, 1.0), (0.9, 0.6)]
+    loop = loop_from_plane_vertices(2, OFF_ORIGIN_PLANE, verts)
+    expect = _midpoint_limit(loop.thetas, loop.phis)
+    err = [np.max(np.abs(holonomy(loop, s).matrix - expect)) for s in (1, 2, 4, 8)]
+    ratios = np.array(err[:-1]) / np.array(err[1:])
+    assert np.all((14.0 <= ratios) & (ratios <= 18.0)), ratios
+
+
+@pytest.mark.parametrize("loop", [
+    rectangle_loop(2, OFF_ORIGIN_PLANE, 1.0, 2.0, False),
+    rectangle_loop(3, PlaneTag(("theta:1", "theta:3"), {"phi:1": 0.7, "theta:2": 0.4}), 0.9, 1.1,
+                   True),
+    *(realize_step_as_loop(GateStep(f, 1, None if f == "C1" else 2, 0.8), 3)
+      for f in ("C1", "C2", "C3", "C4")),
+    *(program_schedule(two_qubit_gate(name))
+      for name in ("CROT", "XOR", "SWAP", "PHASE1", "PHASE2", "UPH1")),
+], ids=["off-origin", "theta-plane", "C1", "C2", "C3", "C4",
+        "CROT", "XOR", "SWAP", "PHASE1", "PHASE2", "UPH1"])
+def test_axis_aligned_loop_ignores_segment_count(loop):
+    # every live edge moves one coordinate and takes one factor, whatever the count
+    assert np.array_equal(holonomy(loop, 64).matrix, holonomy(loop, 1).matrix)
 
 
 def _full_along(theta, phi, d_theta, d_phi):
@@ -289,8 +381,12 @@ def _full_along(theta, phi, d_theta, d_phi):
 
 
 def _edge_generators(th, ph, segments):
-    """The segment generators from connection_along, as full (edges, segments, n, n)."""
+    """_segment_generators from connection_along, full n x n."""
     return _segment_generators(th, ph, segments, _full_along)
+
+
+def _silent(th, ph):
+    return _silent_edges(th, np.diff(th, axis=0), np.diff(ph, axis=0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,9 +399,9 @@ def test_silent_edges_have_zero_generators(n, seed, num_verts, segments):
                   rng.choice([0.3, np.pi / 2, 1.1], (num_verts, n)))
     ph = np.where(rng.random((num_verts, n)) < 0.5, 0.4, rng.uniform(0, 2 * np.pi, (num_verts, n)))
     th, ph = np.vstack([th, th[0]]), np.vstack([ph, ph[0]])
-    silent = _silent_edges(th, ph, segments)
+    silent = _silent(th, ph)
     gens = _edge_generators(th, ph, segments)
-    assert not np.any(gens[silent])
+    assert not any(np.any(g) for (g, _), quiet in zip(gens, silent) if quiet)
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,17 +410,15 @@ def test_silent_edges_have_zero_generators(n, seed, num_verts, segments):
 def test_blocked_holonomy_matches_full_sequential_product(n, seed, num_verts, segments,
                                                           block_entries):
     """Silent edges left out, idle levels never evaluated, blocks of any size
-    (one segment each at 1): the holonomy is still the ordered product of the
-    exponentials of the full n x n segment exponents (the Magnus term of two
-    Gauss nodes on oblique edges, the midpoint generator on the others)."""
+    (one factor each at 1): the holonomy is still the ordered product of the
+    full n x n factors (the Magnus term of two Gauss nodes on each segment of
+    an oblique edge, the rotating-frame midpoint factor on the others)."""
     rng = np.random.default_rng(seed)
     th = np.where(rng.random((num_verts, n)) < 0.5, 0.0, rng.uniform(0.0, np.pi / 2, (num_verts, n)))
     th[:, rng.random(n) < 0.4] = 0.0  # whole levels at theta = 0, some with a moving phi
     ph = np.where(rng.random((num_verts, n)) < 0.5, 0.4, rng.uniform(0, 2 * np.pi, (num_verts, n)))
     th, ph = np.vstack([th, th[0]]), np.vstack([ph, ph[0]])
-    expect = np.eye(n, dtype=complex)
-    for g in _edge_generators(th, ph, segments).reshape(-1, n, n):
-        expect = expm(-g) @ expect
+    expect = _ordered_product(_edge_generators(th, ph, segments), n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(HOLONOMY, "BLOCK_ENTRIES", block_entries)
         got = holonomy(LoopPath(n, th, ph), segments).matrix
@@ -334,15 +428,15 @@ def test_blocked_holonomy_matches_full_sequential_product(n, seed, num_verts, se
 def test_silent_edges_of_program_loops_are_exactly_the_zero_edges():
     for name in ("CROT", "XOR", "SWAP", "PHASE1", "PHASE2"):
         loop = program_schedule(two_qubit_gate(name))
-        zero = ~np.any(_edge_generators(loop.thetas, loop.phis, 2), axis=(1, 2, 3))
-        assert np.array_equal(_silent_edges(loop.thetas, loop.phis, 2), zero), name
+        zero = [not np.any(g) for g, _ in _edge_generators(loop.thetas, loop.phis, 2)]
+        assert np.array_equal(_silent(loop.thetas, loop.phis), zero), name
 
 
 def test_loop_of_silent_edges_is_identity():
     # theta_1 out and back at phi = 0, then phi_1 turned at theta_1 = 0
     loop = LoopPath(2, np.array([[0, 0], [0.4, 0], [0, 0], [0, 0], [0, 0.0]]),
                     np.array([[0, 0], [0, 0], [0, 0], [0.5, 0], [0, 0.0]]))
-    assert np.all(_silent_edges(loop.thetas, loop.phis, 8))
+    assert np.all(_silent(loop.thetas, loop.phis))
     assert np.array_equal(holonomy(loop, 8).matrix, np.eye(2))
 
 
@@ -354,7 +448,8 @@ def test_open_loop_rejected():
 def test_holonomy_memory_is_bounded_by_its_blocks():
     # 3 x 2^18 live segments would take over 70 MB built at once; numpy reports
     # its allocations to tracemalloc. The rectangle's axis-aligned edges take
-    # one connection node per segment, the triangle's oblique edges two.
+    # one factor each, the triangle's oblique edges 2^18 segments of two
+    # connection nodes.
     rectangle = realize_step_as_loop(GateStep("C1", 1, None, 0.7), 1)
     triangle = loop_from_plane_vertices(1, C1_PLANE, [(0.4, 0.5), (1.2, 0.9), (0.7, 2.0)], "C1")
     for loop in (rectangle, triangle):
@@ -403,11 +498,16 @@ LOOPS = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), num_verts=st
 
 
 @settings(max_examples=30, deadline=None)
-@given(**LOOPS, segments=st.sampled_from([1, 3]))
-def test_phi_shift_conjugates_holonomy(n, seed, num_verts, segments):
+@given(**LOOPS, segments=st.sampled_from([1, 3]), axis_aligned=st.booleans())
+def test_phi_shift_conjugates_holonomy(n, seed, num_verts, segments, axis_aligned):
     # hol(loop + c) = P_c hol(loop) P_c^dagger, P_c = diag(e^{i c}): every segment
-    # generator is conjugated by the same P_c, whatever the segment count
-    th, ph = _random_polyline(seed, n, num_verts)
+    # generator is conjugated by the same P_c, whatever the segment count, and
+    # the rotation D of a phi edge's factor is diagonal, so P_c commutes with it
+    if axis_aligned:  # phi mapped into [0.5, 2.5], each edge still moving one coordinate
+        th, ph = _axis_polyline(seed, n, num_verts)
+        ph = 0.5 + ph / np.pi
+    else:
+        th, ph = _random_polyline(seed, n, num_verts)
     shift = np.random.default_rng(seed + 1).uniform(0.0, 3.0, n)  # one c per level, below 2 pi
     p = np.exp(1j * shift)
     base = holonomy(LoopPath(n, th, ph), segments).matrix

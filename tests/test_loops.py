@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpn_holonomy import (LoopPath, PlaneTag, enclosed_area, loop_from_plane_vertices,
-                          rectangle_loop)
+from cpn_holonomy import (GateStep, LoopPath, PlaneTag, enclosed_area, loop_from_plane_vertices,
+                          realize_step_as_loop, rectangle_loop)
 from helpers import circle_loop, concatenate, l_shape_loop, reverse
 
 C1_PLANE = PlaneTag(("theta:1", "phi:1"))
@@ -97,6 +97,54 @@ def test_plane_consistency_enforced():
     ph = np.zeros((3, 2))
     with pytest.raises(ValueError, match="outside its plane"):
         LoopPath(2, th, ph, plane=PlaneTag(("theta:1", "phi:1")))
+
+
+def _edge_by_edge_area(loop, family):
+    """enclosed_area as a Python loop over the edges, scalar numpy trig on each."""
+    (_, i0), (k1, i1) = loop.plane.axes()
+    x = loop.thetas[:, i0 - 1]
+    y = (loop.phis if k1 == "phi" else loop.thetas)[:, i1 - 1]
+    total = 0
+    for k in range(len(x) - 1):
+        t0, t1 = x[k], x[k + 1]
+        if abs(t1 - t0) < 1e-12:
+            mean = np.sin(t0) ** 2 if family in ("C1", "C2") else np.sin(t0)
+        elif family in ("C1", "C2"):
+            mean = 0.5 - (np.sin(2 * t1) - np.sin(2 * t0)) / (4 * (t1 - t0))
+        else:
+            mean = (np.cos(t0) - np.cos(t1)) / (t1 - t0)
+        total += mean * (y[k + 1] - y[k])
+    return -total if family in ("C1", "C2") else total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["C1", "C2", "C3", "C4"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(3, 40), st.booleans())
+def test_enclosed_area_is_the_edge_ordered_sum(family, seed, num_verts, axis_aligned):
+    # the array form adds the same per-edge terms in the same order: equal to the bit
+    rng = np.random.default_rng(seed)
+    plane = {"C1": ("theta:1", "phi:1"), "C2": ("theta:1", "phi:2"),
+             "C3": ("theta:1", "theta:2"), "C4": ("theta:2", "theta:1")}[family]
+    x, y = rng.uniform(0.0, np.pi / 2, num_verts), rng.uniform(0.0, np.pi / 2, num_verts)
+    if axis_aligned:  # every other vertex repeats one coordinate, so flat edges occur
+        x[1::2], y[2::2] = x[:-1:2], y[1:-1:2]
+    loop = loop_from_plane_vertices(2, PlaneTag(plane), list(zip(x, y)), family)
+    assert repr(enclosed_area(loop, family)) == repr(_edge_by_edge_area(loop, family))
+
+
+def test_frozen_values_must_match_the_vertices():
+    # a C2 loop has theta_2 = pi/2 at every vertex; a tag that says otherwise is an error
+    loop = realize_step_as_loop(GateStep("C2", 1, 2, 0.5), 2)
+    for frozen, match in (({"theta:2": 0.25}, "differs"), ({"theta:2": np.pi / 2 + 1e-9}, "differs"),
+                          ({"theta:3": np.pi / 2}, "not a coordinate")):
+        with pytest.raises(ValueError, match=match):
+            LoopPath(2, loop.thetas, loop.phis, PlaneTag(loop.plane.coords, frozen), "C2")
+    # the builders write their frozen values into every vertex
+    assert LoopPath(2, loop.thetas, loop.phis, loop.plane, "C2").plane.frozen == {"theta:2": np.pi / 2}
+    tag = PlaneTag(("theta:1", "phi:3"), {"theta:3": np.pi / 2, "phi:2": 1.3})
+    for built in (rectangle_loop(3, tag, 0.9, 1.2, True, "C2"),
+                  circle_loop(3, tag, (0.6, 2.0), 0.3, num_vertices=16, family="C2")):
+        assert LoopPath.from_json_dict(built.to_json_dict())[0].plane == tag
 
 
 def test_phi_range_enforced():
