@@ -15,13 +15,15 @@ F exp(-i H0 dt) F† with H0 = |n+1><n+1|. The adiabatic route
 chart arclength between the loop's vertices (_knots) and the arclength
 follows smoothstep in time, so edge e runs over the window
 T [tau_e, tau_{e+1}], tau the closed-form inverse of smoothstep at the
-knots, with the first and last pinned to exactly 0 and 1. Each edge is of
-one of three kinds:
+knots, with the first and last pinned to exactly 0 and 1. Each edge takes
+one of two step routes, by its kind:
 
-- constant H: |v><v| does not move along it (a phi edge at theta = 0, or
-  at theta = pi/2 below lower thetas 0, and edges that move only dead
-  columns). One exact rank-1 step covers its window, taken by
-  linalg.rank1_product in a one-slot layout like every other rank-1 step.
+- rank-1: every edge but the two-level ones takes exact rank-1 steps at
+  the midpoints of its equal time steps: the exponential midpoint rule,
+  second order in dt, on an oblique edge or a theta edge below a nonzero
+  lower theta. An edge along which |v><v| stays constant (a phi edge at
+  theta = 0, or at theta = pi/2 below lower thetas 0, and edges that move
+  only dead columns) is a run of one step over its window, which is exact.
 - two-level: it moves one theta_a or phi_a with every lower theta exactly
   0, so v stays in a fixed two-dimensional span and H turns rigidly there.
   It is stepped in the co-rotating frame, where the generator is constant
@@ -30,15 +32,14 @@ one of three kinds:
   pairs and embedded as I + Q (U2 - I) Q†
   (_two_level_factors). Every edge that moves H in a gate program's loop
   is of this kind.
-- rank-1: every other edge (oblique, or a theta edge below a nonzero lower
-  theta) takes exact rank-1 steps at the midpoints of its equal time steps:
-  the exponential midpoint rule, second order in dt.
 
 The moving edges share the step budget in proportion to their windows, each
 at least ceil(window steps / T), so dt <= T / steps wherever H moves; the
 constant edges take one step each. adiabatic_transport raises the budget to
-T / MAX_EPS_DT, so that rule binds only where H moves. One factor per edge,
-or per chunk of a rank-1 edge's steps, is then multiplied in time order.
+T / MAX_EPS_DT, so that rule binds only where H moves. One factor per
+two-level edge, and one per chunk of a rank-1 edge's steps, is then
+multiplied in time order; each route puts its factors in their places by
+np.repeat of its edge mask over the factors per edge.
 The code subspace sits at eigenvalue 0 at every chart point, so no
 dynamical phase accrues on the code and the extracted transport matrix can
 be compared to a loop holonomy directly.
@@ -51,20 +52,20 @@ the product is formed at dimension |live| + 1 and embedded in the
 (n+1) x (n+1) identity. A loop with no live level (phis moving at
 theta = 0) gives diag(1, ..., 1, e^{-i T}).
 
-Rank-1 steps are sampled through one helper (_states_at): each live
-theta or phi column is np.interp of the nodes on the knots, except that a
-column that holds one value over the whole loop is passed as that value,
-whose cos and sin are taken once. The excited states are then assembled
-level by level from these angles (chart.excited_state_from_angles). The
-nodes come in the batch-last layout of linalg.run_layout, the one the
-two-level steps take too: in chunks of one edge each (_steps), or of the
-one run of kicks. So v is sampled in place, and a padding slot takes a
-zero coefficient, an exact identity step. linalg.rank1_product applies
-the steps of every chunk at once, in place, x <- x + a_j v_j (v_j† x):
-O(d^2) per step, and no d x d factor is formed. Step and interval counts
-above MAX_STEPS are input errors, raised before any sampling; this
-includes the count that adiabatic_transport raises to keep
-dt <= MAX_EPS_DT.
+Rank-1 steps, a constant-H edge's one step included, are sampled through
+one helper (_states_at): each live theta or phi column is np.interp of the
+nodes on the knots, except that a column that holds one value over the
+whole loop is passed as that value, whose cos and sin are taken once. The
+excited states are then assembled level by level from these angles
+(chart.excited_state_from_angles). The nodes come in the batch-last layout
+of linalg.run_layout, the one the two-level steps take too: in chunks of
+one edge each (_steps), or of the one run of kicks. So v is sampled in
+place, and a padding slot takes a zero coefficient, an exact identity
+step. linalg.rank1_product applies the steps of every chunk at once, in
+place, x <- x + a_j v_j (v_j† x): O(d^2) per step, and no d x d factor is
+formed. Step and interval counts above MAX_STEPS are input errors, raised
+before any sampling; this includes the count that adiabatic_transport
+raises to keep dt <= MAX_EPS_DT.
 
 Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
@@ -249,8 +250,6 @@ def _grid(loop: LoopPath, steps: int) -> _Grid:
                                 np.where(np.any(below & (start != 0.0), axis=1), RANK1, two))
     counts = np.ones(kind.size, dtype=np.int64)
     still = kind == CONSTANT
-    if np.all(still):
-        return _Grid(live, knots, tau, th, ph, kind, level, counts)
     share = np.diff(tau)[~still]
     need = np.maximum(np.ceil(share * steps), 1.0)
     spare = steps - np.sum(still) - np.sum(need)
@@ -261,11 +260,6 @@ def _grid(loop: LoopPath, steps: int) -> _Grid:
         need += extra
     counts[~still] = need
     return _Grid(live, knots, tau, th, ph, kind, level, counts)
-
-
-def _vertex_states(k: int, th: np.ndarray, ph: np.ndarray) -> np.ndarray:
-    """v on the live levels and level n+1 at each row of the live angle tables."""
-    return excited_state_from_angles(k, th.shape[:1], lambda j: (th[:, j], ph[:, j]))
 
 
 def _steps(g: _Grid, edges: np.ndarray):
@@ -317,22 +311,23 @@ def _two_level_factors(g: _Grid, edges: np.ndarray, window: np.ndarray) -> np.nd
     x, y = linalg.su2_runs_product(alpha, beta, chunks)
     fa, fb = linalg.su2_exp(np.zeros(edges.size), -move * jy, -move * jz)  # e^{i X J}, phase apart
     u2 = linalg.su2_matrix(*linalg.su2_mul(fa, fb, x, y), np.exp(-0.5j * window[edges])) - np.eye(2)
-    d = g.live.size + 1
-    th = g.thetas[edges].copy()
+    k = g.live.size
+    th, ph = g.thetas[edges].copy(), g.phis[edges]
     th[rows, lvl] = 0.0
-    basis = np.zeros((edges.size, d, 2), dtype=complex)
-    basis[:, :, 0] = _vertex_states(g.live.size, th, g.phis[edges])
+    basis = np.zeros((edges.size, k + 1, 2), dtype=complex)
+    basis[:, :, 0] = excited_state_from_angles(k, (edges.size,), lambda j: (th[:, j], ph[:, j]))
     basis[rows, lvl, 1] = np.exp(1j * phi0)
-    return np.eye(d) + basis @ u2 @ basis.conj().transpose(0, 2, 1)
+    return np.eye(k + 1) + basis @ u2 @ basis.conj().transpose(0, 2, 1)
 
 
 def propagate_frames(loop: LoopPath, total_time: float, steps: int) -> np.ndarray:
     """Full (n+1)-dim propagator for one smoothstep-ramped traversal of the loop.
 
-    On the knot-aligned grid of _grid with a budget of steps: one exact step
-    per constant-H edge, co-rotating steps on two-level edges, and rank-1
-    midpoint steps on the rest. One factor per edge, or per chunk of a
-    rank-1 edge's steps, is then multiplied in time order, later left.
+    On the knot-aligned grid of _grid with a budget of steps: co-rotating
+    steps on two-level edges, and rank-1 midpoint steps on the rest, one
+    step on each constant-H edge. One factor per two-level edge, and one
+    per chunk of a rank-1 edge's steps, is then multiplied in time order,
+    later left.
     """
     return _propagate(loop, total_time, steps)[0]
 
@@ -343,24 +338,19 @@ def _propagate(loop: LoopPath, total_time: float, steps: int) -> tuple[np.ndarra
     g = _grid(loop, steps)
     k = g.live.size
     window = total_time * np.diff(g.tau)
-    rank1 = g.kind == RANK1
-    edges = np.flatnonzero(rank1)
+    two = (g.kind == THETA) | (g.kind == PHI)
+    edges = np.flatnonzero(~two)  # rank-1 runs; a constant-H edge's is one step
     size = np.ones(g.kind.size, dtype=np.int64)  # factors per edge
     if edges.size:
         chunks, owner, pad, _, mid = _steps(g, edges)
         size[edges] = chunks
-    first = np.cumsum(size) - size
     factors = np.empty((np.sum(size), k + 1, k + 1), dtype=complex)
-    const = np.flatnonzero(g.kind == CONSTANT)  # one step each, in a one-slot layout
-    v = _vertex_states(k, g.thetas[const], g.phis[const])
-    factors[first[const]] = linalg.rank1_product(np.exp(-1j * window[const])[None] - 1.0, v[None])
-    two = np.flatnonzero((g.kind == THETA) | (g.kind == PHI))
-    if two.size:
-        factors[first[two]] = _two_level_factors(g, two, window)
     if edges.size:
         v = _states_at(g.knots, g.thetas, g.phis, smoothstep(mid))
         a = np.where(pad, 0.0, (np.exp(-1j * window[edges] / g.counts[edges]) - 1.0)[owner])
-        factors[np.repeat(rank1, size)] = linalg.rank1_product(a, v)
+        factors[np.repeat(~two, size)] = linalg.rank1_product(a, v)
+    if np.any(two):
+        factors[np.repeat(two, size)] = _two_level_factors(g, np.flatnonzero(two), window)
     return _embed(loop.n, g.live, linalg.fold_left(factors)), int(np.sum(g.counts))
 
 
@@ -395,8 +385,7 @@ def adiabatic_transport(loop: LoopPath, total_time: float,
     """
     steps = _check_time_and_count(total_time, steps, "steps")
     raised = float(np.ceil(total_time / MAX_EPS_DT))  # a float: a huge T fails the check, not int()
-    steps = _check_time_and_count(total_time, max(steps, raised), "steps")
-    u_full, steps = _propagate(loop, total_time, steps)
+    u_full, steps = _propagate(loop, total_time, max(steps, raised))
     code = frame_unitary(loop.base_point)[:, : loop.n]
     m = code.conj().T @ u_full @ code
     leakage = 1.0 - np.sum(np.abs(m) ** 2, axis=0)

@@ -277,7 +277,7 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
         edge = ends.searchsorted(j, side="right")
         levels, gens = _block_generators(th, ph, d_th, d_ph, oblique, count, edge,
                                          j - ends[edge] + count[edge])
-        if levels.size:
+        if levels.size:  # empty when every move / count in the block underflows to 0
             rows = cols[levels]
             f = _block_factors(gens, levels, turn[edge], col[edge])
             u[rows] = linalg.fold_left(f) @ u[rows]

@@ -8,8 +8,8 @@ eigendecomposition above. The k = 2 form is su2_exp, the one SU(2) closed
 form, which also gives the co-rotating two-level steps of the propagators;
 su2_mul multiplies such pairs and su2_matrix writes one out as a 2 x 2
 matrix. Every route is unitary up to roundoff, which the holonomy code
-relies on. Every rank-1 step I + a|v><v| of the propagators (a kick, a
-midpoint step, or the one step of a constant-H edge) goes through
+relies on. Every rank-1 step I + a|v><v| of the propagators (a kick, or
+a midpoint step, a constant-H edge's one step among them) goes through
 rank1_product, in place, chunk by chunk in the one batch-last layout of
 run_layout. Ordered products reduce pairwise, as sums of elementwise outer
 products at k <= 2 and batched matmuls above. Batched inputs use a leading

@@ -2,9 +2,9 @@
 
 Both oracles step rank-1 factors of dynamics at nodes of s in [0, 1]:
 left endpoints smoothstep(k/N) for kick_evolution; for propagate_frames,
-on a loop without two-level edges, the start knot of each constant-H edge
-and the midpoints of the equal time steps of every other edge, on the
-knot-aligned grid of dynamics._grid. dynamics passes a column that holds
+on a loop without two-level edges, the midpoints of the equal time steps
+of every edge (one step on a constant-H edge), on the knot-aligned grid of
+dynamics._grid. dynamics passes a column that holds
 one value over the loop as that value; here every column is sampled at
 every node by np.interp on the same knots, and v comes from the angles
 (chart_oracle.excited_state_batch). The nodes are laid out as dynamics lays
@@ -14,7 +14,7 @@ linalg.rank1_product the same chunks.
 import numpy as np
 
 from chart_oracle import excited_state_batch
-from cpn_holonomy.dynamics import CONSTANT, PHI, THETA, _grid, _knots, smoothstep
+from cpn_holonomy.dynamics import PHI, THETA, _grid, _knots, smoothstep
 from cpn_holonomy.linalg import fold_left, rank1_product, run_layout
 from cpn_holonomy.loops import LoopPath
 
@@ -51,58 +51,36 @@ def kick_nodes(intervals: int) -> np.ndarray:
 def grid_steps(loop: LoopPath, total_time: float, steps: int):
     """The steps of propagate_frames on a loop without two-level edges, edge by edge.
 
-    Returns the grid and, per edge, the nodes of its steps and their dt: a
-    constant-H edge is one step at its start knot over its window, any
-    other edge takes the midpoints of its counts equal time steps.
+    Returns the grid and, per edge, the nodes of its steps and their dt:
+    every edge, a constant-H edge as one step over its window, takes the
+    midpoints of its counts equal time steps.
     """
     g = _grid(loop, steps)
     assert not np.any((g.kind == THETA) | (g.kind == PHI)), "a two-level edge has no rank-1 steps"
-    knots = _knots(loop)[0]
     window = total_time * np.diff(g.tau)
     nodes, dts = [], []
-    for e, kind in enumerate(g.kind):
-        if kind == CONSTANT:
-            nodes.append(knots[e:e + 1])
-            dts.append(window[e:e + 1])
-        else:
-            m = g.counts[e]
-            h = np.diff(g.tau)[e] / m
-            nodes.append(smoothstep(g.tau[e] + (np.arange(m) + 0.5) * h))
-            dts.append(np.full(m, window[e] / m))
+    for e, m in enumerate(g.counts):
+        h = np.diff(g.tau)[e] / m
+        nodes.append(smoothstep(g.tau[e] + (np.arange(m) + 0.5) * h))
+        dts.append(np.full(m, window[e] / m))
     return g, nodes, dts
 
 
 def interp_grid_propagator(loop: LoopPath, total_time: float, steps: int) -> np.ndarray:
     """propagate_frames on a loop without two-level edges, from np.interp samples.
 
-    Each constant-H edge is its own factor I + (e^{-i w} - 1)|v><v|; the
-    steps of the other edges, at the midpoints tau_e + (j + 1/2) h_e laid
-    out in chunks of one edge each, give one rank1_product factor per chunk;
-    the factors multiply in time order.
+    The steps of every edge, at the midpoints tau_e + (j + 1/2) h_e laid
+    out in chunks of one edge each, give one rank1_product factor per
+    chunk; the factors multiply in time order.
     """
-    g, nodes, _ = grid_steps(loop, total_time, steps)
+    g = grid_steps(loop, total_time, steps)[0]
+    m = g.counts
+    _, owner, pos = run_layout(m)
+    h = np.diff(g.tau) / m
     lam = arclength_interpolator(loop, g.live)
-    window = total_time * np.diff(g.tau)
-    d = g.live.size + 1
-    edges = np.flatnonzero(g.kind != CONSTANT)
-    chunks = np.zeros(g.kind.size, dtype=int)
-    if edges.size:
-        m = g.counts[edges]
-        chunks[edges], owner, pos = run_layout(m)
-        h = np.diff(g.tau)[edges] / m
-        v = excited_state_batch(*lam(smoothstep(g.tau[edges][owner] + (pos + 0.5) * h[owner])))
-        a = np.where(pos < m[owner], (np.exp(-1j * window[edges] / m) - 1.0)[owner], 0.0)
-        products = rank1_product(a, v)
-    factors = []
-    for e, kind in enumerate(g.kind):
-        if kind == CONSTANT:
-            v = excited_state_batch(*lam(nodes[e]))
-            factors.append(np.eye(d) + (np.exp(-1j * window[e:e + 1]) - 1.0)[:, None, None]
-                           * v[:, :, None] * v.conj()[:, None, :])
-        else:
-            first = np.sum(chunks[:e])
-            factors.append(products[first:first + chunks[e]])
-    return embed(loop.n, g.live, fold_left(np.concatenate(factors)))
+    v = excited_state_batch(*lam(smoothstep(g.tau[owner] + (pos + 0.5) * h[owner])))
+    a = np.where(pos < m[owner], (np.exp(-1j * total_time * np.diff(g.tau) / m) - 1.0)[owner], 0.0)
+    return embed(loop.n, g.live, fold_left(rank1_product(a, v)))
 
 
 def embed(n: int, live: np.ndarray, block: np.ndarray) -> np.ndarray:

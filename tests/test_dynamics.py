@@ -16,7 +16,7 @@ from chart_oracle import excited_state_batch, hamiltonian_at
 from cpn_holonomy import (ControlPoint, GateProgram, GateStep, LoopPath, PlaneTag,
                           adiabatic_transport, compile_unitary, holonomy, kick_evolution,
                           loop_from_plane_vertices, primitive_holonomy, program_schedule,
-                          propagate_frames, realize_step_as_loop, two_qubit_gate)
+                          propagate_frames, realize_step_as_loop, rectangle_loop, two_qubit_gate)
 from cpn_holonomy import dynamics
 from cpn_holonomy.chart import frame_unitary_batch
 from cpn_holonomy.dynamics import MAX_STEPS
@@ -462,6 +462,29 @@ def test_grid_of_named_gates():
             assert set(g.kind) <= {dynamics.CONSTANT, dynamics.THETA}
             if name in expect:
                 assert (g.kind.size, np.sum(g.kind != dynamics.CONSTANT)) == expect[name]
+
+
+CONSTANT_H_LOOPS = {
+    # cos(theta_1) = 0 hides level 2: v = e_1 on every edge of the rectangle
+    "half_pi_rectangle": rectangle_loop(2, PlaneTag(("theta:2", "phi:2"), {"theta:1": np.pi / 2}),
+                                        1.0, 2.0, False),
+    # theta_2 = 0 leaves phi_2 out of v, so only a dead column moves
+    "phi_at_zero_theta": LoopPath(2, np.array([[0.7, 0.0]] * 4),
+                                  np.array([[0.3, 0.0], [0.3, 1.5], [0.3, 0.4], [0.3, 0.0]])),
+}
+
+
+@pytest.mark.parametrize("name", CONSTANT_H_LOOPS)
+@pytest.mark.parametrize("steps", [1, 7, 4000])
+def test_constant_h_loop_matches_expm(name, steps):
+    # every edge keeps H constant, so each takes one step, and the whole
+    # traversal is exp(-i T |v0><v0|) whatever the budget
+    loop = CONSTANT_H_LOOPS[name]
+    total = 1.3 * 20.0
+    assert dynamics._live_levels(loop.thetas).size > 0
+    assert np.all(dynamics._grid(loop, steps).counts == 1)
+    expect = expm(-1j * total * hamiltonian_at(loop.base_point))
+    assert max_abs_diff(propagate_frames(loop, total, steps), expect) <= 1e-14
 
 
 @settings(max_examples=60, deadline=None)

@@ -440,6 +440,24 @@ def test_loop_of_silent_edges_is_identity():
     assert np.array_equal(holonomy(loop, 8).matrix, np.eye(2))
 
 
+@pytest.mark.parametrize("block_entries", [8, 2 ** 13])  # four factors a block, or all
+def test_live_edges_whose_segment_moves_underflow_add_nothing(block_entries):
+    # a zigzag of oblique edges moving by (a, 2a), a the least subnormal, is
+    # live, but a quarter of either move rounds to 0: connection_along sees
+    # no moving level, and a block of such factors touches none
+    a = 5e-324
+    triangle = [(0.0, 0.0), (0.5, 0.0), (0.5, 1.0), (0.0, 0.0)]
+    zigzag = np.array([(0.0, 0.0), (a, 2 * a)] * 3 + [(0.0, 0.0)])
+    assert not np.any(_silent(zigzag[:, :1], zigzag[:, 1:]))
+    pts, ref = np.vstack([zigzag[:-1], triangle]), np.array(triangle)
+    assert connection_along(0.0, 0.0, a / 4, 2 * a / 4)[0].size == 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HOLONOMY, "BLOCK_ENTRIES", block_entries)
+        got = holonomy(LoopPath(1, pts[:, :1], pts[:, 1:]), 4).matrix
+        expect = holonomy(LoopPath(1, ref[:, :1], ref[:, 1:]), 4).matrix
+    assert np.array_equal(got, expect)
+
+
 def test_open_loop_rejected():
     with pytest.raises(ValueError, match="not closed"):
         LoopPath(1, np.array([[0.0], [0.3], [0.2]]), np.zeros((3, 1)))
@@ -494,20 +512,26 @@ def _random_polyline(seed, n, num_verts):
     return np.vstack([th, th[0]]), np.vstack([ph, ph[0]])
 
 
-LOOPS = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), num_verts=st.integers(2, 6))
+def _symmetry_polyline(seed, n, num_verts, axis_aligned):
+    """_random_polyline, or an _axis_polyline with phi mapped into [0.5, 2.5],
+    each edge still moving one coordinate."""
+    if not axis_aligned:
+        return _random_polyline(seed, n, num_verts)
+    th, ph = _axis_polyline(seed, n, num_verts)
+    return th, 0.5 + ph / np.pi
+
+
+LOOPS = dict(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), num_verts=st.integers(2, 6),
+             axis_aligned=st.booleans())
 
 
 @settings(max_examples=30, deadline=None)
-@given(**LOOPS, segments=st.sampled_from([1, 3]), axis_aligned=st.booleans())
-def test_phi_shift_conjugates_holonomy(n, seed, num_verts, segments, axis_aligned):
+@given(**LOOPS, segments=st.sampled_from([1, 3]))
+def test_phi_shift_conjugates_holonomy(n, seed, num_verts, axis_aligned, segments):
     # hol(loop + c) = P_c hol(loop) P_c^dagger, P_c = diag(e^{i c}): every segment
     # generator is conjugated by the same P_c, whatever the segment count, and
     # the rotation D of a phi edge's factor is diagonal, so P_c commutes with it
-    if axis_aligned:  # phi mapped into [0.5, 2.5], each edge still moving one coordinate
-        th, ph = _axis_polyline(seed, n, num_verts)
-        ph = 0.5 + ph / np.pi
-    else:
-        th, ph = _random_polyline(seed, n, num_verts)
+    th, ph = _symmetry_polyline(seed, n, num_verts, axis_aligned)
     shift = np.random.default_rng(seed + 1).uniform(0.0, 3.0, n)  # one c per level, below 2 pi
     p = np.exp(1j * shift)
     base = holonomy(LoopPath(n, th, ph), segments).matrix
@@ -517,9 +541,10 @@ def test_phi_shift_conjugates_holonomy(n, seed, num_verts, segments, axis_aligne
 
 @settings(max_examples=30, deadline=None)
 @given(**LOOPS, segments=st.sampled_from([1, 3]))
-def test_phi_mirror_conjugates_holonomy(n, seed, num_verts, segments):
-    # phi -> 2 pi - phi conjugates the frame, so the holonomy is complex-conjugated
-    th, ph = _random_polyline(seed, n, num_verts)
+def test_phi_mirror_conjugates_holonomy(n, seed, num_verts, axis_aligned, segments):
+    # phi -> 2 pi - phi conjugates the frame, so the holonomy is complex-conjugated;
+    # on a phi edge it also negates the rotation D of the edge's factor
+    th, ph = _symmetry_polyline(seed, n, num_verts, axis_aligned)
     base = holonomy(LoopPath(n, th, ph), segments).matrix
     mirrored = holonomy(LoopPath(n, th, 2 * np.pi - ph), segments).matrix
     assert np.max(np.abs(mirrored - base.conj())) <= 1e-12
@@ -527,11 +552,11 @@ def test_phi_mirror_conjugates_holonomy(n, seed, num_verts, segments):
 
 @settings(max_examples=30, deadline=None)
 @given(**LOOPS, segments=st.sampled_from([1, 3]), start=st.integers(1, 5))
-def test_base_vertex_rotation_keeps_eigenphases(n, seed, num_verts, segments, start):
+def test_base_vertex_rotation_keeps_eigenphases(n, seed, num_verts, axis_aligned, segments, start):
     # starting the same closed polyline at another vertex turns the ordered
     # product AB into BA, which has the same eigenvalues; power traces fix them
-    th, ph = _random_polyline(seed, n, num_verts)
-    k = start % num_verts
+    th, ph = _symmetry_polyline(seed, n, num_verts, axis_aligned)
+    k = start % (len(th) - 1)
     rot_th, rot_ph = (np.vstack([x[k:-1], x[:k + 1]]) for x in (th, ph))
     u = holonomy(LoopPath(n, th, ph), segments).matrix
     v = holonomy(LoopPath(n, rot_th, rot_ph), segments).matrix
