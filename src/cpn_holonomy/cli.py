@@ -193,6 +193,8 @@ def _decode_circuit(entries) -> list:
         gate = entry["gate"]
         if isinstance(gate, dict):
             gate = dec_matrix(gate["matrix"])
+        elif not isinstance(gate, str):  # a bare nested list of numbers
+            gate = np.asarray(gate, dtype=complex)
         i, j = entry["pair"]
         circuit.append(((as_int(i, "pair"), as_int(j, "pair")), gate))
     return circuit

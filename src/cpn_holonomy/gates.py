@@ -21,9 +21,11 @@ composes the closed forms, later steps on the left; evaluate_integrated is
 the holonomy of the program's one composite loop (program_schedule), which
 the dynamical oracles also run. Its edges move one chart coordinate each,
 where the midpoint engine is exact, so one segment per edge suffices.
-program_schedule builds that loop in one pass, from the same rectangle
-rules as realize_step_as_loop (_rectangle: extents and orientation), and
-validates one LoopPath.
+program_schedule builds that loop in one pass: it writes each step's
+rectangle with the row writer and rectangle rules of realize_step_as_loop
+(loops._plane_rows; _rectangle: extents and orientation), counts its edges
+from the rows it writes before repeating any part, and validates one
+LoopPath.
 Diagonal phases on a single level b are realized as C1(b, -gamma) [phase
 e^{i gamma}]. The compilers use C1 and C3 alone, the phases and real
 rotations of a Reck mesh (Reck, Zeilinger, Bernstein & Bertani, Phys. Rev.
@@ -39,12 +41,11 @@ import numpy as np
 
 from . import linalg
 from .holonomy import UnitaryMatrix, check_segment_budget, holonomy
-from .loops import (CLOSURE_TOL, FAMILIES, RECTANGLE_CORNERS, LoopPath, PlaneTag, _bulk_point,
+from .loops import (CLOSURE_TOL, FAMILIES, LoopPath, PlaneTag, _plane_rows, _rectangle_corners,
                     as_int, rectangle_loop)
 
 MAX_RECT_AREA = {"C1": 1.5 * np.pi, "C2": 1.5 * np.pi, "C3": np.pi / 2, "C4": np.pi / 2}
 _ZERO_AREA = 1e-14
-_CORNERS = np.array(RECTANGLE_CORNERS)
 
 
 class AreaRangeError(ValueError):
@@ -181,21 +182,6 @@ def split_step(step: GateStep) -> list[GateStep]:
     return [GateStep(step.family, step.beta, step.beta_bar, each) for _ in range(parts)]
 
 
-def _schedule_edges(program: GateProgram) -> float:
-    """Edge count of program_schedule's loop, computed without building it.
-
-    Each part of a step adds its rectangle's four edges (none at zero area)
-    and, if the step freezes a coordinate (C2, C4), the legs from the origin
-    to its base point and back; every other vertex it pushes repeats the one
-    before. An empty or all-zero loop has the two edges of its 3 vertices.
-    """
-    edges = 0.0
-    for step in program.steps:
-        rect = 0.0 if abs(step.area) < _ZERO_AREA else 4.0  # a split part is never zero
-        edges += _split_parts(step) * (rect + 2.0 * bool(step.frozen_coords()))
-    return max(edges, 2.0)
-
-
 @dataclass(frozen=True)
 class GateProgram:
     """Ordered loop program; steps listed first-executed first."""
@@ -245,30 +231,26 @@ def program_schedule(program: GateProgram) -> LoopPath:
     elsewhere, so they transport nothing: the composite loop's holonomy (and
     its adiabatic transport) is the program product.
 
-    The loop's edge count is checked against holonomy.MAX_SEGMENT_ENTRIES at
-    one segment per edge before any part is built, so a huge area is a
-    ValueError at once. Then each part of a step writes its fixed pattern of
-    rows (base point, the five rectangle corners, base point, origin) into
-    one (rows, 2n) array of theta and phi columns; the equal parts of a split
-    step repeat one pattern. A row equal to the one before it is dropped,
-    and one LoopPath is validated.
+    Each step writes one pattern of rows from one of its equal parts: the
+    origin, the part's five rectangle corners (the first and last at its base
+    point) and the origin again. A row equal to the one before it adds no
+    edge, so a part adds as many edges as its pattern has other rows. Their
+    sum over all parts, at one segment per edge, is checked against
+    holonomy.MAX_SEGMENT_ENTRIES before any part is repeated, so a huge area
+    is a ValueError at once. Then the origin and, once per part, its step's
+    edge-adding rows form the vertices of one validated LoopPath.
     """
-    n = program.n
-    check_segment_budget(_schedule_edges(program), 1, n)
-    rows = [np.zeros((1, 2 * n))]  # the origin
-    for step in program.steps:
-        parts = split_step(step)
-        part = parts[0]
-        extent0, extent1, clockwise = _rectangle(part)
-        pattern = np.zeros((8, 2 * n))
-        pattern[:7] = np.concatenate(_bulk_point(n, part.frozen_coords()))
-        corners = _CORNERS[::-1] if clockwise else _CORNERS
-        for (kind, idx), at, extent in zip(part.plane().axes(), corners.T,
-                                           (extent0, extent1)):
-            pattern[1:6, (0 if kind == "theta" else n) + idx - 1] = np.where(at, extent, 0.0)
-        rows.append(np.tile(pattern, (len(parts), 1)))
-    rows = np.concatenate(rows)
-    rows = rows[np.append(True, np.any(rows[1:] != rows[:-1], axis=1))]
+    n, steps = program.n, program.steps
+    patterns = np.zeros((len(steps), 7, 2 * n))
+    parts = [_split_parts(step) for step in steps]
+    for pattern, step, k in zip(patterns, steps, parts):
+        part = step if k == 1 else GateStep(step.family, step.beta, step.beta_bar, step.area / k)
+        pattern[1:6] = _plane_rows(n, part.plane(), _rectangle_corners(*_rectangle(part)))
+    kept = (patterns[:, 1:] != patterns[:, :-1]).any(axis=2)
+    edges = sum(k * e for k, e in zip(parts, kept.sum(axis=1).tolist()))
+    check_segment_budget(max(edges, 2.0), 1, n)  # an empty program's loop has 2 edges
+    order = np.repeat(np.arange(len(steps)), [int(k) for k in parts])  # each part's step
+    rows = np.concatenate([np.zeros((1, 2 * n)), patterns[order, 1:][kept[order]]])
     if len(rows) < 3:  # empty program: degenerate loop at the origin
         rows = np.zeros((3, 2 * n))
     return LoopPath(n, rows[:, :n], rows[:, n:])

@@ -131,17 +131,14 @@ def su2_exp(ax: np.ndarray, ay: np.ndarray, az: np.ndarray) -> tuple[np.ndarray,
     The pair (alpha, beta) stands for [[alpha, -conj(beta)], [beta, conj(alpha)]].
     With r = |a| and s = sin(r) / r (exactly 1 at r = 0): alpha = cos r - i s az,
     beta = s ay - i s ax, their parts written in place. r is the square root
-    of the sum of squares, or hypot where the squares overflow, so that the
-    pair stays finite and unitary up to norms near the float maximum. One
-    test finds out whether any square overflows: np.vdot sums the squares
-    without a floating-point warning, and its sum is finite when they are.
+    of the sum of squares, computed once with overflow ignored; where that
+    root is infinite it is taken again by hypot, so that the pair stays
+    finite and unitary up to norms near the float maximum.
     """
-    if np.vdot(ax, ax) + np.vdot(ay, ay) + np.vdot(az, az) < np.inf:
+    with np.errstate(over="ignore"):
         r = np.sqrt(ax * ax + ay * ay + az * az)
-    else:
-        with np.errstate(over="ignore"):
-            r = np.sqrt(ax * ax + ay * ay + az * az)
-        r = np.where(np.isfinite(r), r, np.hypot(np.hypot(ax, ay), az))
+    if np.isinf(r).any():
+        r = np.where(np.isinf(r), np.hypot(np.hypot(ax, ay), az), r)
     s = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
     alpha, beta = np.empty(r.shape, dtype=complex), np.empty(r.shape, dtype=complex)
     np.cos(r, out=alpha.real)

@@ -34,9 +34,6 @@ from .chart import ControlPoint
 
 CLOSURE_TOL = 1e-14
 FAMILIES = ("C1", "C2", "C3", "C4")
-# rectangle_loop's corners, counter-clockwise: whether each sits at extent0, at extent1
-RECTANGLE_CORNERS = ((False, False), (True, False), (True, True), (False, True),
-                     (False, False))
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,12 @@ class PlaneTag:
     frozen: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for c in (*self.coords, *self.frozen):
-            _split_coord(c)
+        axes = [_split_coord(c) for c in self.coords]
+        if len(axes) != 2 or axes[0] == axes[1]:
+            raise ValueError(f"plane {', '.join(self.coords)}: a plane must name exactly "
+                             "two distinct coordinates")
         for c, value in self.frozen.items():
+            _split_coord(c)
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not -np.inf < value < np.inf:
                 raise ValueError(f"frozen {c} must be a finite number, got {value!r}")
 
@@ -62,6 +62,25 @@ def _split_coord(name: str) -> tuple[str, int]:
     if kind not in ("theta", "phi") or not idx.isdigit() or int(idx) < 1:
         raise ValueError(f"bad coordinate name {name!r}; expected 'theta:<k>' or 'phi:<k>'")
     return kind, int(idx)
+
+
+def _column(name: str, n: int) -> int:
+    """The column that a coordinate name addresses in a (thetas | phis) row of 2n values."""
+    kind, idx = _split_coord(name)
+    if idx > n:
+        raise ValueError(f"{name} is not a coordinate at n = {n}")
+    return (0 if kind == "theta" else n) + idx - 1
+
+
+def _plane_rows(n: int, plane: PlaneTag, xy) -> np.ndarray:
+    """(m, 2n) (thetas | phis) rows: the plane's frozen values, then the m x 2 xy on its
+    two coordinates; every other coordinate is zero."""
+    xy = np.asarray(xy, dtype=float)
+    rows = np.zeros((len(xy), 2 * n))
+    for name, value in plane.frozen.items():
+        rows[:, _column(name, n)] = value
+    rows[:, [_column(c, n) for c in plane.coords]] = xy
+    return rows
 
 
 def as_int(value, name: str) -> int:
@@ -114,19 +133,13 @@ class LoopPath:
 
     def _check_plane(self):
         """The loop moves only its plane's coordinates and sits at its frozen values."""
-        varying = np.zeros(2 * self.n, dtype=bool)
-        for kind, idx in self.plane.axes():
-            varying[(0 if kind == "theta" else self.n) + idx - 1] = True
         coords = np.concatenate([self.thetas, self.phis], axis=1)
         drift = np.abs(coords - coords[0]).max(axis=0)
-        if ((drift > CLOSURE_TOL) & ~varying).any():
+        drift[[_column(c, self.n) for c in self.plane.coords]] = 0.0
+        if (drift > CLOSURE_TOL).any():
             raise ValueError("plane-tagged loop varies coordinates outside its plane")
         for name, value in self.plane.frozen.items():
-            kind, idx = _split_coord(name)
-            if idx > self.n:
-                raise ValueError(f"frozen {name} is not a coordinate at n = {self.n}")
-            column = (self.thetas if kind == "theta" else self.phis)[:, idx - 1]
-            if np.abs(column - value).max() > CLOSURE_TOL:
+            if np.abs(coords[:, _column(name, self.n)] - value).max() > CLOSURE_TOL:
                 raise ValueError(f"frozen {name} = {value!r} differs from the loop's vertices")
 
     @property
@@ -210,34 +223,24 @@ def enclosed_area(loop: LoopPath, family: str) -> float:
 
 # ---------- loop builders ----------
 
-def _bulk_point(n: int, frozen: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-    th, ph = np.zeros(n), np.zeros(n)
-    for name, val in frozen.items():
-        kind, idx = _split_coord(name)
-        (th if kind == "theta" else ph)[idx - 1] = val
-    return th, ph
-
-
 def loop_from_plane_vertices(n: int, plane: PlaneTag, verts: list[tuple[float, float]],
                              family: str | None = None) -> LoopPath:
     """Build a loop from 2D vertices in the tagged plane (closing vertex appended)."""
-    (k0, i0), (k1, i1) = plane.axes()
-    if verts[0] != verts[-1]:
-        verts = verts + [verts[0]]
-    th0, ph0 = _bulk_point(n, plane.frozen)
-    ths, phs = [], []
-    for x, y in verts:
-        t, p = th0.copy(), ph0.copy()
-        (t if k0 == "theta" else p)[i0 - 1] = x
-        (t if k1 == "theta" else p)[i1 - 1] = y
-        ths.append(t)
-        phs.append(p)
-    return LoopPath(n, np.stack(ths), np.stack(phs), plane=plane, family=family)
+    xy = np.asarray(verts, dtype=float)
+    if (xy[0] != xy[-1]).any():
+        xy = np.concatenate([xy, xy[:1]])
+    rows = _plane_rows(n, plane, xy)
+    return LoopPath(n, rows[:, :n], rows[:, n:], plane=plane, family=family)
+
+
+def _rectangle_corners(extent0: float, extent1: float, clockwise: bool) -> list:
+    """The five corners of [0, extent0] x [0, extent1] from the origin back to it."""
+    ccw = [(0.0, 0.0), (extent0, 0.0), (extent0, extent1), (0.0, extent1), (0.0, 0.0)]
+    return ccw[::-1] if clockwise else ccw
 
 
 def rectangle_loop(n: int, plane: PlaneTag, extent0: float, extent1: float,
                    clockwise: bool, family: str | None = None) -> LoopPath:
     """Axis-aligned rectangle [0, extent0] x [0, extent1] in the tagged plane."""
-    ccw = [(extent0 if at0 else 0.0, extent1 if at1 else 0.0) for at0, at1 in RECTANGLE_CORNERS]
-    verts = ccw[::-1] if clockwise else ccw
-    return loop_from_plane_vertices(n, plane, verts, family)
+    return loop_from_plane_vertices(n, plane, _rectangle_corners(extent0, extent1, clockwise),
+                                    family)

@@ -4,7 +4,7 @@ import numpy as np
 
 from cpn_holonomy.chart import ControlPoint
 from cpn_holonomy.gates import GateProgram, realize_step_as_loop, split_step
-from cpn_holonomy.loops import LoopPath, PlaneTag, _bulk_point, loop_from_plane_vertices
+from cpn_holonomy.loops import LoopPath, PlaneTag, loop_from_plane_vertices
 from cpn_holonomy.multipartite import EmbeddedGate
 
 
@@ -71,7 +71,8 @@ def program_schedule_by_parts(program: GateProgram) -> LoopPath:
 
     Every part pushes its base point, the vertices of its own validated
     realize_step_as_loop rectangle, its base point and the origin; a vertex
-    equal to the last one pushed is skipped.
+    equal to the last one pushed is skipped. The base point is the origin
+    with theta_bb = pi/2 for C2 and phi_b = pi/2 for C4.
     """
     n = program.n
     origin = np.zeros(n)
@@ -84,7 +85,11 @@ def program_schedule_by_parts(program: GateProgram) -> LoopPath:
 
     for step in program.steps:
         for part in split_step(step):
-            base = _bulk_point(n, part.frozen_coords())
+            base = (origin.copy(), origin.copy())
+            if part.family == "C2":
+                base[0][part.beta_bar - 1] = np.pi / 2
+            if part.family == "C4":
+                base[1][part.beta - 1] = np.pi / 2
             loop = realize_step_as_loop(part, n)
             for t, p in [base, *zip(loop.thetas, loop.phis), base, (origin, origin)]:
                 push(t, p)

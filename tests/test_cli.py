@@ -1,5 +1,8 @@
 """CLI behavior: schemas, exit codes, pi-literals, determinism."""
 import argparse
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
@@ -8,11 +11,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cpn_holonomy import (GateStep, PlaneTag, holonomy, program_schedule,
+from cpn_holonomy import (GateProgram, GateStep, PlaneTag, holonomy, program_schedule,
                           realize_step_as_loop, two_qubit_gate)
 from cpn_holonomy.cli import build_parser, dump_json, main, parse_angle
 from cpn_holonomy.linalg import max_abs_diff
@@ -230,6 +233,11 @@ BAD_FILES = {
     ["gate", "--name", "xor", "--out", "{directory}"],
     # a loop file's frozen plane values are those of its vertices
     ["holonomy", "--loop", "{frozen_mismatch_loop}"],
+    # a plane names exactly two distinct coordinates, each at most n
+    ["holonomy", "--loop", "{three_coord_loop}"],
+    ["holonomy", "--loop", "{twice_coord_loop}"],
+    ["holonomy", "--loop", "{one_coord_loop}"],
+    ["holonomy", "--loop", "{above_n_coord_loop}"],
 ])
 def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     loop = realize_step_as_loop(GateStep("C1", 1, None, np.pi / 4), 1).to_json_dict(
@@ -245,7 +253,14 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
                     text_frozen_loop=dict(loop, plane=dict(loop["plane"], frozen={"theta:2": "x"})),
                     triple_point_loop=dict(loop, points=[p + [[1.0]] for p in loop["points"]]),
                     frozen_mismatch_loop=dict(c2_loop, plane=dict(c2_loop["plane"],
-                                                                  frozen={"theta:2": 0.25})))
+                                                                  frozen={"theta:2": 0.25})),
+                    three_coord_loop=dict(c2_loop, plane=dict(
+                        c2_loop["plane"], coords=["theta:1", "phi:2", "phi:1"])),
+                    twice_coord_loop=dict(loop, plane=dict(loop["plane"],
+                                                           coords=["theta:1", "theta:1"])),
+                    one_coord_loop=dict(loop, plane=dict(loop["plane"], coords=["theta:1"])),
+                    above_n_coord_loop=dict(loop, plane=dict(loop["plane"],
+                                                             coords=["theta:1", "phi:2"])))
     for name, value in contents.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(value))
@@ -255,6 +270,74 @@ def test_bad_input_exits_2_with_one_error_line(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+FUZZ_DOCS = {  # a valid file of each kind, and the command that reads it
+    "loop": (realize_step_as_loop(GateStep("C2", 1, 2, 0.5), 2).to_json_dict(segments_per_edge=2),
+             ["holonomy", "--loop", "{}"]),
+    "dynamics": (realize_step_as_loop(GateStep("C4", 1, 2, 0.4), 2).to_json_dict(),
+                 ["verify", "--loop", "{}", "--time", "1"]),
+    "program": (GateProgram(3, (GateStep("C1", 1, None, 0.3), GateStep("C3", 2, 3, -0.8),
+                                GateStep("C2", 1, 3, 0.5))).to_json_dict(),
+                ["verify", "--program", "{}", "--time", "1"]),
+    "circuit": ([{"pair": [1, 2], "gate": "XOR"},
+                 {"pair": [2, 1], "gate": {"matrix": [[[1.0, 0.0], [0.0, 0.0]],
+                                                      [[0.0, 0.0], [0.0, 1.0]]]}}],
+                ["circuit", "--circuit", "{}", "--qubits", "2", "--state", "00"]),
+}
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 6), st.floats(-4.0, 4.0),
+    st.sampled_from([-0.0, 1e300, -1e300, float("nan"), float("inf"), float("-inf")]),
+    st.sampled_from(["", "theta:0", "theta:3", "phi:1", "phi:9", "C3", "XOR"]),
+    st.lists(st.floats(0.0, 1.5), max_size=3), st.just({}))
+
+
+@st.composite
+def malformed(draw, doc):
+    """doc with one to three values, at any depth, replaced, deleted or repeated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        if not isinstance(doc, (dict, list)) or not doc:
+            return draw(FUZZ_VALUES)
+        parent = doc
+        key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            parent = parent[key]
+            key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                       else range(len(parent))))
+        action = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        if action == "replace":
+            parent[key] = draw(FUZZ_VALUES)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [parent[key]] * 2
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(sorted(FUZZ_DOCS)).flatmap(
+    lambda kind: st.tuples(st.just(kind), malformed(FUZZ_DOCS[kind][0]))))
+def test_malformed_input_files_exit_cleanly(tmp_path, case):
+    # wrong types and lengths, indices of 0 or above n, non-finite numbers and missing
+    # keys: a result, an input error on one line, or a failed unitarity certificate
+    kind, doc = case
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # leakage at --time 1
+        code = main([a.format(path) for a in FUZZ_DOCS[kind][1]])
+    err = err.getvalue()
+    assert code in (0, 2, 3) and "Traceback" not in err
+    if code == 2:
+        assert [line.startswith("error:") for line in err.splitlines()] == [True]
+    if code == 3:
+        assert err.startswith("numerical failure:")
 
 
 # ---------- gates ----------

@@ -12,6 +12,7 @@ from cpn_holonomy import (AreaRangeError, GateProgram, GateStep, compile_u2_bloc
                           single_qubit_block, two_qubit_gate)
 from cpn_holonomy import gates
 from cpn_holonomy.gates import embed_two_level, givens_decompose
+from cpn_holonomy.holonomy import MAX_SEGMENT_ENTRIES, check_segment_budget
 from cpn_holonomy.linalg import dist_up_to_phase, unitarity_defect
 from cpn_holonomy.loops import CLOSURE_TOL, FAMILIES
 from helpers import program_schedule_by_parts
@@ -141,7 +142,14 @@ def test_split_step_respects_capacity():
 
 
 def test_program_schedule_counts_its_edges_before_building(monkeypatch):
-    # the edge count checked against the segment budget is the built loop's
+    # the edge count program_schedule checks against the segment budget is the built loop's
+    counted = []
+
+    def count(edges, segments_per_edge, n):
+        counted.append(edges)
+        check_segment_budget(edges, segments_per_edge, n)
+
+    monkeypatch.setattr(gates, "check_segment_budget", count)
     rng = np.random.default_rng(17)
     programs = [two_qubit_gate(name, sigma1=0.4, sigma3=2.9) for name in
                 ("XOR", "CROT", "SWAP", "PHASE1", "PHASE2", "UPH1")]
@@ -152,13 +160,24 @@ def test_program_schedule_counts_its_edges_before_building(monkeypatch):
                                  GateStep("C4", 3, 2, 1e-15),
                                  GateStep("C1", 3, None, 1.5 * np.pi)))]
     for prog in programs:
-        assert gates._schedule_edges(prog) == program_schedule(prog).num_vertices - 1
-    # a huge area fails the budget before any part is split off or built
-    def no_parts(*args):
+        counted.clear()
+        built = program_schedule(prog)
+        assert counted == [built.num_vertices - 1]
+    # at n = 4 a C3 part adds four edges of 16 budget entries each: the most parts
+    # that fit build a loop of exactly that many edges, and one part more fails
+    most = MAX_SEGMENT_ENTRIES // (4 * 16)
+    counted.clear()
+    at_budget = program_schedule(GateProgram(4, (GateStep("C3", 1, 2, most * np.pi / 2),)))
+    assert counted == [at_budget.num_vertices - 1] == [4 * most]
+    with pytest.raises(ValueError, match="exceed the budget"):
+        program_schedule(GateProgram(4, (GateStep("C3", 1, 2, (most + 1) * np.pi / 2),)))
+
+    # a huge area fails the budget before any part or loop is built
+    def no_parts(*args, **kwargs):
         raise AssertionError("built a part of an over-budget program")
 
-    monkeypatch.setattr(gates, "split_step", no_parts)
-    monkeypatch.setattr(gates, "realize_step_as_loop", no_parts)
+    for name in ("split_step", "realize_step_as_loop", "LoopPath"):
+        monkeypatch.setattr(gates, name, no_parts)
     for area in (1e300, -1e300, 3e5):
         huge = GateProgram(4, (GateStep("C2", 1, 2, area),))
         with pytest.raises(ValueError, match="exceed the budget"):

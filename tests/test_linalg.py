@@ -116,6 +116,27 @@ def test_su2_exp_stays_unitary_at_huge_norms(norm):
     assert max(unitarity_defect(u) for u in got) <= 1e-15
 
 
+def test_su2_exp_keeps_ordinary_bytes_beside_huge_norms():
+    # a batch above 10 000 elements with a few norms near 1e300: the ordinary pairs
+    # are those of the batch without them, to the bit, and the huge ones are unitary
+    rng = np.random.default_rng(63)
+    a, plain = random_su2(rng, (12_000,), 2.0)
+    huge = rng.choice(a.shape[1], 5, replace=False)
+    a[:, huge] *= 1e300 / 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, beta = su2_exp(*a)
+    ordinary = np.ones(a.shape[1], dtype=bool)
+    ordinary[huge] = False
+    for got, expect in zip((alpha, beta), plain):
+        assert np.array_equal(got[ordinary], expect[ordinary])
+        assert np.array_equal(np.signbit(got[ordinary].view(float)),
+                              np.signbit(expect[ordinary].view(float)))
+    got = su2_matrix(alpha[huge], beta[huge], np.ones(huge.size))
+    assert np.all(np.isfinite(got))
+    assert max(unitarity_defect(u) for u in got) <= 1e-15
+
+
 def test_su2_mul_matches_matmul():
     rng = np.random.default_rng(62)
     (_, p1), (_, p0) = random_su2(rng, (64,), 2.0), random_su2(rng, (64,), 0.7)

@@ -99,6 +99,22 @@ def test_plane_consistency_enforced():
         LoopPath(2, th, ph, plane=PlaneTag(("theta:1", "phi:1")))
 
 
+@pytest.mark.parametrize("coords", [("theta:1", "phi:1", "theta:2"), ("theta:1",),
+                                    ("theta:1", "theta:1"), ("theta:1", "theta:01")])
+def test_plane_names_two_distinct_coordinates(coords):
+    with pytest.raises(ValueError, match="theta:1"):
+        PlaneTag(coords)
+
+
+def test_plane_coordinates_above_n_rejected():
+    # the builders and a tagged loop check each plane coordinate against n
+    tag = PlaneTag(("theta:1", "phi:3"))
+    with pytest.raises(ValueError, match="phi:3 is not a coordinate at n = 2"):
+        rectangle_loop(2, tag, 0.5, 0.5, clockwise=True)
+    with pytest.raises(ValueError, match="phi:3 is not a coordinate at n = 2"):
+        LoopPath(2, np.zeros((3, 2)), np.zeros((3, 2)), plane=tag)
+
+
 def _edge_by_edge_area(loop, family):
     """enclosed_area as a Python loop over the edges, scalar numpy trig on each."""
     (_, i0), (k1, i1) = loop.plane.axes()
