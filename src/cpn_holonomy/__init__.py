@@ -13,7 +13,7 @@ from .gates import (AreaRangeError, GateProgram, GateStep, compile_u2_block,
                     compile_unitary, named_gate_matrix, primitive_holonomy,
                     program_schedule, realize_step_as_loop, single_qubit_block,
                     two_qubit_gate)
-from .holonomy import UnitarityError, UnitaryMatrix, holonomy
+from .holonomy import UnitarityError, UnitaryMatrix, holonomies, holonomy
 from .loops import LoopPath, PlaneTag, enclosed_area, loop_from_plane_vertices, rectangle_loop
 from .multipartite import CostReport, EmbeddedGate, Register, apply_circuit, gate_count
 
@@ -21,7 +21,7 @@ __all__ = [
     "ControlPoint", "frame_unitary",
     "ConnectionValue", "connection_along", "connection_analytic",
     "LoopPath", "PlaneTag", "enclosed_area", "rectangle_loop", "loop_from_plane_vertices",
-    "UnitaryMatrix", "UnitarityError", "holonomy",
+    "UnitaryMatrix", "UnitarityError", "holonomy", "holonomies",
     "GateStep", "GateProgram", "AreaRangeError", "primitive_holonomy",
     "realize_step_as_loop", "compile_u2_block", "compile_unitary",
     "two_qubit_gate", "named_gate_matrix", "single_qubit_block",

@@ -53,7 +53,7 @@ from .dynamics import _check_time_and_count, adiabatic_transport, kick_evolution
 from .gates import GateProgram, GateStep, compile_u2_block, embed_two_level, \
     named_gate_matrix, primitive_holonomy, program_schedule, realize_step_as_loop, \
     two_qubit_gate
-from .holonomy import UnitarityError, check_segment_budget, holonomy
+from .holonomy import UnitarityError, check_segment_budget, holonomies, holonomy
 from .loops import FAMILIES, LoopPath, as_int, enclosed_area
 from .multipartite import Register, apply_circuit, gate_count
 
@@ -346,7 +346,8 @@ def cmd_sweep(args) -> str:
         if n < (1 if args.family == "C1" else 2):
             raise ValueError("--n must be >= 2 for random-rects (>= 1 with --family C1)")
         check_segment_budget(4 * args.cases, args.segments, n)  # four edges per rectangle
-        for case in range(args.cases):
+        steps = []
+        for _ in range(args.cases):
             family = args.family or str(rng.choice(FAMILIES))
             if family == "C1":
                 beta, beta_bar = int(rng.integers(1, n + 1)), None
@@ -357,12 +358,12 @@ def cmd_sweep(args) -> str:
                 beta, beta_bar = rng.choice(np.arange(1, n + 1), size=2, replace=False)
                 beta, beta_bar = int(beta), int(beta_bar)
             hi = 1.4 if family in ("C3", "C4") else 3.0
-            area = float(rng.uniform(-hi, hi))
-            step = GateStep(family, beta, beta_bar, area)
-            loop = realize_step_as_loop(step, n)
-            dist = holonomy(loop, args.segments).distance(primitive_holonomy(step, n).matrix)
-            rows.append({"case": case, "family": family, "beta": beta,
-                         "beta_bar": beta_bar, "area": area, "distance": dist})
+            steps.append(GateStep(family, beta, beta_bar, float(rng.uniform(-hi, hi))))
+        integrated = holonomies([realize_step_as_loop(step, n) for step in steps], args.segments)
+        for case, (step, u) in enumerate(zip(steps, integrated)):
+            rows.append({"case": case, "family": step.family, "beta": step.beta,
+                         "beta_bar": step.beta_bar, "area": step.area,
+                         "distance": u.distance(primitive_holonomy(step, n).matrix)})
     else:
         loop, _ = _load_json_file(args.loop, LoopPath.from_json_dict)
         if not loop.family:

@@ -65,7 +65,8 @@ step. linalg.rank1_product applies the steps of every chunk at once, in
 place, x <- x + a_j v_j (v_j† x): O(d^2) per step, and no d x d factor is
 formed. Step and interval counts above MAX_STEPS are input errors, raised
 before any sampling; this includes the count that adiabatic_transport
-raises to keep dt <= MAX_EPS_DT.
+raises to keep dt <= MAX_EPS_DT. So is a step T / count of PHASE_DT_LIMIT
+or longer, whose phase e^{-i dt} has no correct digit.
 
 Transport extraction is frame-based: columns are the propagated code frame
 vectors of the loop's base point, overlapped against the same base frame.
@@ -91,6 +92,9 @@ from .loops import LoopPath, as_int
 
 MAX_EPS_DT = 0.05  # stepper resolution rule: dt <= this, in units of 1/epsilon0
 MAX_STEPS = 2 ** 22  # most steps or kick intervals one propagation may take
+# steps this long have a phase e^{-i dt} with no correct digit: rounding dt =
+# T / N alone moves it by up to 0.125 rad in [2^50, 2^51), 0.062 just below
+PHASE_DT_LIMIT = 2.0 ** 50
 LEAKAGE_BOUND = 1e-2  # leakage above this flags a transport as non-adiabatic
 STILL_FS = 1e-15  # a single-coordinate edge this short in Fubini-Study length keeps H constant
 
@@ -101,20 +105,33 @@ def smoothstep(x):
     return 3.0 * x**2 - 2.0 * x**3
 
 
-def _check_time_and_count(total_time: float, count: float, name: str) -> int:
-    """The count as an int, once it and the time are valid; a ValueError naming them if not.
+def _check_count(count: float, name: str) -> int:
+    """The count as an int: at least 1, at most MAX_STEPS and integral, or a ValueError naming it.
 
-    The count must be at least 1, at most MAX_STEPS and integral: integral
-    floats and numpy integers pass, booleans and NaN do not. Integrality is
-    checked last, so that an infinite count reads as too large.
+    Integral floats and numpy integers pass, booleans and NaN do not.
+    Integrality is checked last, so that an infinite count reads as too large.
     """
-    if not (np.isfinite(total_time) and total_time > 0):
-        raise ValueError(f"total time must be finite and positive, got {total_time!r}")
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count!r}")
     if count > MAX_STEPS:
         raise ValueError(f"{name} must be <= {MAX_STEPS}, got {count!r}")
     return as_int(count, name)
+
+
+def _check_time_and_count(total_time: float, count: float, name: str) -> int:
+    """The count as an int, once it, the time and the step they make are valid.
+
+    The time must be finite and positive, the count pass _check_count, and
+    the step total_time / count be shorter than PHASE_DT_LIMIT. Each is a
+    ValueError naming what failed.
+    """
+    if not (np.isfinite(total_time) and total_time > 0):
+        raise ValueError(f"total time must be finite and positive, got {total_time!r}")
+    count = _check_count(count, name)
+    if total_time / count >= PHASE_DT_LIMIT:
+        raise ValueError(f"{name}: a step of length {total_time / count!r} is at or above "
+                         f"{PHASE_DT_LIMIT:.6g}, where its phase e^(-i dt) has no correct digit")
+    return count
 
 
 def _knots(loop: LoopPath, cols=slice(None)):
@@ -383,7 +400,9 @@ def adiabatic_transport(loop: LoopPath, total_time: float,
     grid takes. A bad time, a count that is not an integer or is below 1,
     and a count (requested or raised) above MAX_STEPS are ValueErrors.
     """
-    steps = _check_time_and_count(total_time, steps, "steps")
+    # the time and the raised count are checked where the propagation starts;
+    # its steps are at most MAX_EPS_DT long, far below PHASE_DT_LIMIT
+    steps = _check_count(steps, "steps")
     raised = float(np.ceil(total_time / MAX_EPS_DT))  # a float: a huge T fails the check, not int()
     u_full, steps = _propagate(loop, total_time, max(steps, raised))
     code = frame_unitary(loop.base_point)[:, : loop.n]

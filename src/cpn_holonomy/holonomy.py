@@ -56,14 +56,28 @@ factors when some live edge is oblique and twice that when none is, so the
 arrays built at once stay near a fixed size whatever the segment count.
 Each block's (edge, segment) pairs come from the cumulative factor counts
 of the edges, block by block. Each edge's moves, factor count and phi turn
-are worked out once per call. Each block is exponentiated and multiplied
+are worked out once per pass. Each block is exponentiated and multiplied
 on the levels it touches, which can be fewer than the loop's (a gate
 program's loop touches four levels, each of its steps two), and its
 product multiplies those rows of the result as soon as it is formed.
 
 Levels that never move and have theta == 0 at every vertex are not passed
 to connection_along at all: they would add nothing to any generator, and it
-would drop them itself after building their node coordinates.
+would drop them itself after building their node coordinates. The other
+levels of a loop, in order, are its columns.
+
+holonomies integrates a batch of loops that share n. Each loop is taken on
+its own columns, so it sees the generators it would alone, and the loops
+with the same number k of columns go in one pass: their vertex arrays are
+concatenated, with no edge joining one loop's end to the next one's start;
+the silent-edge test, the edge classification and the blocks then run once
+over all their edges. A loop's factors are contiguous, so each block is
+folded per loop (linalg.fold_runs) and multiplies the rows of that loop's
+result. holonomy(loop) is holonomies([loop])[0]: one loop is one run in
+every block, folded by fold_left. Loops of different k never share a block.
+On the union of their levels a loop that alone takes the k <= 2 closed
+forms would be exponentiated through eigh, whose roundoff accumulates about
+2.4e-16 per factor (3.1e-14 on a circle of 128 factors, 3.3e-16 this way).
 
 Edges on which every generator is exactly zero are dropped before any
 connection is evaluated (see _silent_edges): the connector legs of a gate
@@ -79,7 +93,10 @@ projection when above threshold).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -238,26 +255,63 @@ def check_segment_budget(edges: float, segments_per_edge: int, n: int):
 
 
 def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
-    """Loop holonomy on the n-dimensional code, by ordered exact factors.
+    """Loop holonomy on the n-dimensional code: holonomies([loop], segments_per_edge)[0]."""
+    return holonomies([loop], segments_per_edge)[0]
+
+
+def holonomies(loops: Sequence[LoopPath], segments_per_edge: int = 64) -> list[UnitaryMatrix]:
+    """Holonomies of a batch of loops that share n, integrated together.
 
     Each live edge that moves one coordinate takes one factor; each oblique
-    edge takes segments_per_edge Magnus-4 factors. The factors go in blocks
-    of at most BLOCK_ENTRIES / k^2 connection nodes, k the levels left after
-    dropping the idle ones (see the module docstring).
+    edge takes segments_per_edge Magnus-4 factors. Each loop is integrated
+    on its own k columns, the levels that are not idle on it, and the loops
+    with the same k in one pass: their factors go in blocks of at most
+    BLOCK_ENTRIES / k^2 connection nodes, each folded per loop (see the
+    module docstring). The batch's summed edge count is checked against
+    MAX_SEGMENT_ENTRIES before any connection is evaluated.
     """
     s = as_int(segments_per_edge, "segments_per_edge")
     if s < 1:
         raise ValueError("segments_per_edge must be >= 1")
-    check_segment_budget(loop.num_vertices - 1, segments_per_edge, loop.n)
-    u = np.eye(loop.n, dtype=complex)
-    if loop.is_degenerate():
-        return UnitaryMatrix.from_raw(u)
-    # a level that never moves and has theta == 0 at every vertex enters no
-    # generator (connection_along drops it too), so its columns are left out
-    cols = ((loop.thetas != 0).any(0) | (loop.phis != loop.phis[0]).any(0)).nonzero()[0]
-    th, ph = loop.thetas[:, cols], loop.phis[:, cols]
+    loops = list(loops)
+    if not loops:
+        return []
+    n = loops[0].n
+    if any(loop.n != n for loop in loops):
+        raise ValueError("the loops of one batch must share n")
+    check_segment_budget(sum(loop.num_vertices - 1 for loop in loops), s, n)
+    u = np.eye(n, dtype=complex)[None].repeat(len(loops), 0)
+    groups: dict[int, list] = {}  # the loops that have k columns, by k
+    for i, loop in enumerate(loops):
+        if not loop.is_degenerate():
+            # a level that never moves and has theta == 0 at every vertex enters
+            # none of the loop's generators (connection_along drops it too)
+            cols = ((loop.thetas != 0).any(0) | (loop.phis != loop.phis[0]).any(0)).nonzero()[0]
+            groups.setdefault(cols.size, []).append((i, cols))
+    for group in groups.values():
+        ids, cols = zip(*group)
+        _integrate(u, np.array(ids), [loops[i] for i in ids], np.array(cols), s)
+    return [UnitaryMatrix.from_raw(m) for m in u]
+
+
+def _integrate(u: np.ndarray, ids: np.ndarray, loops: list[LoopPath], cols: np.ndarray, s: int):
+    """Multiply u[ids[i]] on the left by the holonomy of loops[i], for all i in one pass.
+
+    cols[i] holds the k levels of loops[i] that are not idle, in order; the
+    loops' vertex arrays on them are concatenated, and the edges that join
+    one loop's end to the next one's start are dropped.
+    """
+    th = np.concatenate([loop.thetas[:, c] for loop, c in zip(loops, cols)])
+    ph = np.concatenate([loop.phis[:, c] for loop, c in zip(loops, cols)])
     d_th, d_ph = th[1:] - th[:-1], ph[1:] - ph[:-1]
-    live = (~_silent_edges(th, d_th, d_ph)).nonzero()[0]
+    ends_at = list(accumulate(loop.num_vertices for loop in loops))  # past each loop's last vertex
+    quiet = _silent_edges(th, d_th, d_ph)
+    for v in ends_at[:-1]:
+        quiet[v - 1] = True  # the edge that joins this loop to the next
+    live = (~quiet).nonzero()[0]
+    if not live.size:
+        return
+    through = live.searchsorted(ends_at).tolist()  # the live edges of loops[:i + 1]
     th, ph, d_th, d_ph = th[live], ph[live], d_th[live], d_ph[live]
     moves_phi = d_ph != 0
     oblique = (d_th != 0).sum(1) + moves_phi.sum(1) >= 2
@@ -266,19 +320,27 @@ def holonomy(loop: LoopPath, segments_per_edge: int = 64) -> UnitaryMatrix:
     # and its move where the generator rotates, because some level below col
     # has theta != 0; lead is the first level that has
     nonzero = th != 0
-    lead = np.where(nonzero.any(1), nonzero.argmax(1), cols.size)
+    k = cols.shape[1]
+    lead = np.where(nonzero.any(1), nonzero.argmax(1), k)
     turn = np.where(oblique | (col <= lead), 0.0, d_ph.sum(1))
     ends = count.cumsum()
-    total = int(ends[-1]) if live.size else 0
+    total = int(ends[-1])
+    # each loop's factors are contiguous: run r ends at stops[r], on loops[runs[r]]
+    runs = np.array([i for i, (a, b) in enumerate(zip([0, *through], through)) if b > a])
+    stops = ends[[through[i] - 1 for i in runs]].tolist()
     nodes = 2 if oblique.any() else 1  # connection nodes per factor, at most
-    per_block = max(1, BLOCK_ENTRIES // (nodes * cols.size ** 2))
+    per_block = max(1, BLOCK_ENTRIES // (nodes * k ** 2))
     for first in range(0, total, per_block):
-        j = np.arange(first, min(first + per_block, total))
+        stop = min(first + per_block, total)
+        j = np.arange(first, stop)
         edge = ends.searchsorted(j, side="right")
         levels, gens = _block_generators(th, ph, d_th, d_ph, oblique, count, edge,
                                          j - ends[edge] + count[edge])
         if levels.size:  # empty when every move / count in the block underflows to 0
-            rows = cols[levels]
+            lo, hi = bisect_right(stops, first), bisect_right(stops, stop - 1)
+            bounds = [first, *stops[lo:hi], stop]
+            on = runs[lo:hi + 1]
+            at, rows = ids[on, None], cols[on][:, levels]
             f = _block_factors(gens, levels, turn[edge], col[edge])
-            u[rows] = linalg.fold_left(f) @ u[rows]
-    return UnitaryMatrix.from_raw(u)
+            p = linalg.fold_runs(f, [b - a for a, b in zip(bounds, bounds[1:])])
+            u[at, rows] = p @ u[at, rows]

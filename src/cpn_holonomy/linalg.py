@@ -12,8 +12,9 @@ relies on. Every rank-1 step I + a|v><v| of the propagators (a kick, or
 a midpoint step, a constant-H edge's one step among them) goes through
 rank1_product, in place, chunk by chunk in the one batch-last layout of
 run_layout. Ordered products reduce pairwise, as sums of elementwise outer
-products at k <= 2 and batched matmuls above. Batched inputs use a leading
-batch axis everywhere else.
+products at k <= 2 and batched matmuls above; fold_runs reduces several
+consecutive runs of factors at once. Batched inputs use a leading batch axis
+everywhere else.
 """
 from __future__ import annotations
 
@@ -79,6 +80,29 @@ def fold_left(factors: np.ndarray) -> np.ndarray:
             pairs[-1] = _matmul(out[-1], pairs[-1])
         out = pairs
     return out[0]
+
+
+def fold_runs(factors: np.ndarray, counts) -> np.ndarray:
+    """Ordered product of each run of factors, later left; run r is the next counts[r] >= 1.
+
+    One run is folded by fold_left, in its order of pairs. Several are laid
+    out by run_layout, padded with identities, and multiplied pairwise in
+    every chunk at once; the chunk products of each run reduce again, until
+    one is left per run. Returns the run products, shape (len(counts), k, k).
+    """
+    if len(counts) == 1:
+        return fold_left(factors)[None]
+    counts = np.asarray(counts)
+    while True:
+        chunks, owner, pos = run_layout(counts)
+        end = counts[owner]
+        out = factors[np.minimum(pos, end - 1) + (np.cumsum(counts) - counts)[owner]]
+        out[pos >= end] = np.eye(factors.shape[-1])
+        while out.shape[0] > 1:
+            out = _matmul(out[1::2], out[0::2])
+        factors, counts = out[0], chunks
+        if factors.shape[0] == counts.size:
+            return factors
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

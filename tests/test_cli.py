@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from cpn_holonomy import (GateProgram, GateStep, PlaneTag, holonomy, program_schedule,
-                          realize_step_as_loop, two_qubit_gate)
+from cpn_holonomy import (GateProgram, GateStep, PlaneTag, holonomy, primitive_holonomy,
+                          program_schedule, realize_step_as_loop, two_qubit_gate)
 from cpn_holonomy.cli import build_parser, dump_json, main, parse_angle
 from cpn_holonomy.linalg import max_abs_diff
+from cpn_holonomy.loops import FAMILIES
 from helpers import circle_loop
 
 
@@ -528,6 +529,9 @@ def test_kick_empty_nlist_exits_2(capsys):
     ["kick", "--name", "phase2", "--n-list", "250", "--time", "30", "--ref-steps", "5000000"],
     ["verify", "--name", "crot", "--time", "inf"],
     ["verify", "--name", "crot", "--time", "nan"],
+    # a step whose phase e^{-i dt} has no correct digit, in the reference or the table
+    ["kick", "--name", "crot", "--n-list", "3", "--time", "1e300"],
+    ["kick", "--name", "crot", "--n-list", "3", "--time", "1e16", "--ref-steps", "100000"],
 ])
 def test_oracle_bad_time_or_count_exits_2(argv, capsys, monkeypatch):
     # kick checks every count and the time before its reference run
@@ -543,6 +547,10 @@ def test_oracle_bad_time_or_count_exits_2(argv, capsys, monkeypatch):
     assert captured.err.startswith("error:")
     if argv[-1] in ("250,abc", "2.5"):
         assert "--n-list entries must be integers, got" in captured.err
+    if argv[:3] == ["kick", "--name", "crot"]:  # names the count and its step length
+        name = "--ref-steps" if argv[-1] == "1e300" else "--n-list entries"
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {name}: a step of length ")
 
 
 # ---------- circuit ----------
@@ -771,6 +779,45 @@ def test_sweep_seed_changes_output(capsys):
     _, out1 = run_cli(["sweep", "--kind", "random-rects", "--seed", "1", "--cases", "3"], capsys)
     _, out2 = run_cli(["sweep", "--kind", "random-rects", "--seed", "2", "--cases", "3"], capsys)
     assert out1 != out2
+
+
+def _random_rects(seed, cases, n, family=None):
+    """The steps of a random-rects sweep, drawn one case at a time in its RNG order."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for _ in range(cases):
+        fam = family or str(rng.choice(FAMILIES))
+        if fam == "C1":
+            beta, beta_bar = int(rng.integers(1, n + 1)), None
+        elif fam == "C2":
+            beta = int(rng.integers(1, n))
+            beta_bar = int(rng.integers(beta + 1, n + 1))
+        else:
+            pair = rng.choice(np.arange(1, n + 1), size=2, replace=False)
+            beta, beta_bar = int(pair[0]), int(pair[1])
+        hi = 1.4 if fam in ("C3", "C4") else 3.0
+        steps.append(GateStep(fam, beta, beta_bar, float(rng.uniform(-hi, hi))))
+    return steps
+
+
+@pytest.mark.parametrize("n,family", [(2, None), (4, None), (6, None), (3, "C2"), (1, "C1")])
+@pytest.mark.parametrize("seed", [0, 7, 4242])
+def test_sweep_rows_match_one_evaluation_per_case(n, family, seed, capsys):
+    # the rectangles are integrated in one pass; every row keeps the fields of
+    # its case drawn alone, and its distance stays at roundoff
+    argv = ["sweep", "--n", str(n), "--seed", str(seed), "--cases", "20", "--segments", "3"]
+    code, out = run_cli(argv + (["--family", family] if family else []), capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    steps = _random_rects(seed, 20, n, family)
+    assert len(rows) == len(steps)
+    for case, (row, step) in enumerate(zip(rows, steps)):
+        assert {k: row[k] for k in ("case", "family", "beta", "beta_bar", "area")} == {
+            "case": case, "family": step.family, "beta": step.beta,
+            "beta_bar": step.beta_bar, "area": step.area}
+        alone = holonomy(realize_step_as_loop(step, n), 3)
+        assert alone.distance(primitive_holonomy(step, n).matrix) <= 1e-15
+        assert row["distance"] <= 1e-15
 
 
 def test_benchmark_sized_sweep_is_within_the_segment_budget(capsys):

@@ -313,6 +313,27 @@ def _sampled_loop(rng, kinds, edges):
     return LoopPath(n, pts[:, :n], pts[:, n:])
 
 
+def test_steps_whose_phase_has_no_correct_digit_are_rejected(monkeypatch):
+    # rounding dt = T / N moves e^{-i dt} by up to 0.125 rad from 2^50 on:
+    # both propagators reject such a step before any sampling
+    def no_sampling(*args):
+        raise AssertionError("sampled before the inputs were checked")
+
+    limit = dynamics.PHASE_DT_LIMIT
+    assert limit == 2.0 ** 50
+    assert kick_evolution(c1_loop(), np.nextafter(limit, 0.0), 1).shape == (2, 2)
+    monkeypatch.setattr(dynamics, "_excited_states", no_sampling)
+    monkeypatch.setattr(dynamics, "_grid", no_sampling)
+    for total, count in ((limit, 1), (3 * limit, 3), (1e300, MAX_STEPS)):
+        with pytest.raises(ValueError, match="intervals: a step of length"):
+            kick_evolution(c1_loop(), total, count)
+        with pytest.raises(ValueError, match="steps: a step of length"):
+            propagate_frames(c1_loop(), total, count)
+    # adiabatic_transport raises its count to T / MAX_EPS_DT, so only that count can fail
+    with pytest.raises(ValueError, match="steps must be <="):
+        adiabatic_transport(c1_loop(), 1e300, steps=1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(THETA_KINDS), min_size=1, max_size=4),
        st.lists(st.sampled_from(EDGE_KINDS), min_size=1, max_size=6),

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from cpn_holonomy import (GateStep, LoopPath, PlaneTag, UnitarityError, UnitaryMatrix,
-                          enclosed_area, holonomy, loop_from_plane_vertices,
+                          enclosed_area, holonomies, holonomy, loop_from_plane_vertices,
                           primitive_holonomy, program_schedule, realize_step_as_loop,
                           rectangle_loop, two_qubit_gate)
 from cpn_holonomy.chart import frame_unitary_batch
 from cpn_holonomy.connection import connection_along
-from cpn_holonomy.holonomy import _silent_edges
+from cpn_holonomy.holonomy import MAX_SEGMENT_ENTRIES, _silent_edges
 from helpers import circle_loop, concatenate, l_shape_loop, reverse
 from test_connection import oracle_along  # per-entry closed forms of the connection
 
@@ -479,6 +479,124 @@ def test_holonomy_memory_is_bounded_by_its_blocks():
             tracemalloc.stop()
         assert peak < 8e6
         assert abs(u.matrix[0, 0] - np.exp(-1j * enclosed_area(loop, "C1"))) < 1e-9
+
+
+# ---------- batches: holonomies integrates many loops in one pass ----------
+
+def _random_step(rng, n):
+    """A random C1-C4 step on n levels (C1 only at n = 1), within one rectangle."""
+    family = "C1" if n == 1 else str(rng.choice(["C1", "C2", "C3", "C4"]))
+    if family == "C1":
+        return GateStep(family, int(rng.integers(1, n + 1)), None, float(rng.uniform(-3, 3)))
+    if family == "C2":
+        b = int(rng.integers(1, n))
+        return GateStep(family, b, int(rng.integers(b + 1, n + 1)), float(rng.uniform(-3, 3)))
+    b, bb = (int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
+    return GateStep(family, b, bb, float(rng.uniform(-1.4, 1.4)))
+
+
+def _family_circle(rng, n):
+    """An oblique polygonal circle in a random step's plane, with its frozen coordinates."""
+    step = _random_step(rng, n)
+    y_max = 2 * np.pi if step.family in ("C1", "C2") else np.pi / 2
+    r = rng.uniform(0.15, 0.35)
+    center = (rng.uniform(r + 0.05, np.pi / 2 - r - 0.05), rng.uniform(r + 0.05, y_max - r - 0.05))
+    return circle_loop(n, step.plane(), center, r, int(rng.integers(6, 17)),
+                       bool(rng.integers(2)), step.family)
+
+
+def _silent_connector(n):
+    """theta_1 out and back at phi = 0, then phi_1 turned at theta_1 = 0: every edge silent."""
+    th, ph = np.zeros((5, n)), np.zeros((5, n))
+    th[1, 0], ph[3, 0] = 0.4, 0.5
+    return LoopPath(n, th, ph)
+
+
+def _mixed_batch(rng, n):
+    """C1-C4 rectangles, oblique circles and polygons, a rectangle with a rotating
+    phi edge (n >= 2), a degenerate loop and an all-silent connector loop, shuffled."""
+    batch = [realize_step_as_loop(_random_step(rng, n), n) for _ in range(3)]
+    batch += [_family_circle(rng, n) for _ in range(2)]
+    batch += [random_wiggle_loop(rng, n, num_verts=int(rng.integers(2, 6)))]
+    if n >= 2:
+        batch.append(rectangle_loop(n, PlaneTag(("theta:2", "phi:2"), {"theta:1": 0.5}),
+                                    rng.uniform(0.2, 1.5), rng.uniform(0.2, 3.0),
+                                    bool(rng.integers(2))))
+    point = np.full((3, n), 0.3)
+    batch += [LoopPath(n, point, point * 0.5), _silent_connector(n)]
+    return [batch[i] for i in rng.permutation(len(batch))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), segments=st.sampled_from([1, 3, 8]),
+       block_entries=st.sampled_from([64, 2 ** 13]))
+def test_holonomies_match_one_call_per_loop(n, seed, segments, block_entries):
+    # blocks that hold several loops, and (at 64 entries) loops cut across blocks
+    batch = _mixed_batch(np.random.default_rng(seed), n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HOLONOMY, "BLOCK_ENTRIES", block_entries)
+        got = holonomies(batch, segments)
+        each = [holonomy(loop, segments) for loop in batch]
+    assert len(got) == len(batch)
+    for g, e in zip(got, each):
+        assert g.dim == n and g.distance(e) <= 1e-14
+    for i, loop in enumerate(batch):
+        if loop.is_degenerate() or np.all(_silent(loop.thetas, loop.phis)):
+            assert np.array_equal(got[i].matrix, np.eye(n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_permuting_a_batch_permutes_its_holonomies(n, seed):
+    rng = np.random.default_rng(seed)
+    batch = _mixed_batch(rng, n)
+    order = rng.permutation(len(batch))
+    got = holonomies(batch, 4)
+    permuted = holonomies([batch[i] for i in order], 4)
+    for i, u in zip(order, permuted):
+        assert u.distance(got[i]) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_one_loop_batch_keeps_the_bytes_of_the_loop(seed):
+    # a loop alone, or beside loops that transport nothing, is integrated in the
+    # same blocks and folded in the same order as by holonomy()
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    name = ("CROT", "XOR", "SWAP", "PHASE1", "PHASE2", "UPH1")[seed]
+    loops = [program_schedule(two_qubit_gate(name, sigma1=0.4, sigma3=2.9)),
+             _family_circle(rng, n), realize_step_as_loop(_random_step(rng, n), n)]
+    for loop in loops:
+        point = np.full((3, loop.n), 0.2)
+        quiet = [LoopPath(loop.n, point, point), _silent_connector(loop.n)]
+        alone = holonomy(loop, 5).entries
+        assert np.array_equal(holonomies([loop], 5)[0].entries, alone)
+        assert np.array_equal(holonomies([quiet[0], loop, quiet[1]], 5)[1].entries, alone)
+
+
+def test_holonomies_validation():
+    assert holonomies([], 8) == []
+    with pytest.raises(ValueError, match="share n"):
+        holonomies([_silent_connector(2), _silent_connector(3)], 8)
+    with pytest.raises(ValueError, match="segments_per_edge"):
+        holonomies([_silent_connector(2)], 0)
+
+
+def test_batch_budget_counts_every_loop_before_any_connection(monkeypatch):
+    # two zigzags of theta_2 below theta_1 = 0.3 (live edges) fill the budget at
+    # n = 4 and one segment per edge; each alone is half of it
+    def reached(*args):
+        raise LookupError("evaluated a connection")
+
+    monkeypatch.setattr(HOLONOMY, "connection_along", reached)
+    half = MAX_SEGMENT_ENTRIES // (2 * 16)
+    th = np.zeros((half + 1, 4))
+    th[:, 0], th[1::2, 1] = 0.3, 0.5
+    zigzag = LoopPath(4, th, np.zeros_like(th))
+    with pytest.raises(LookupError):  # at the budget: integration starts
+        holonomies([zigzag, zigzag], 1)
+    with pytest.raises(ValueError, match="exceed the budget"):
+        holonomies([zigzag, zigzag, _silent_connector(4)], 1)
 
 
 def test_segments_validation():

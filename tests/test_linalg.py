@@ -9,7 +9,8 @@ from scipy.linalg import expm
 
 from cpn_holonomy import GateStep, primitive_holonomy
 from cpn_holonomy.linalg import CHUNK, complex_pairs, expm_antihermitian, fold_left, \
-    rank1_product, run_layout, su2_exp, su2_matrix, su2_mul, su2_runs_product, unitarity_defect
+    fold_runs, rank1_product, run_layout, su2_exp, su2_matrix, su2_mul, su2_runs_product, \
+    unitarity_defect
 
 PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
@@ -182,6 +183,25 @@ def test_fold_left_matches_sequential_order(d):
         assert got.shape == (d, d)
         assert np.max(np.abs(got - expect)) < 1e-13
         assert np.array_equal(factors, before)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("counts", [(1,), (7,), (1, 1), (3, 1, 4), (2, CHUNK + 5, 1),
+                                    (1, 300, 2, 1), (40, 7, 900)])
+def test_fold_runs_matches_fold_left_per_run(counts, d):
+    # one run is fold_left itself, bit for bit; several, padded with identities
+    # and reduced chunk by chunk, agree with it at roundoff
+    rng = np.random.default_rng(11 + d)
+    counts = np.array(counts)
+    factors = random_unitaries(rng, int(counts.sum()), d)
+    got = fold_runs(factors, counts)
+    assert got.shape == (counts.size, d, d)
+    starts = np.cumsum(counts) - counts
+    for r, (a, m) in enumerate(zip(starts, counts)):
+        expect = fold_left(factors[a:a + m])
+        if counts.size == 1:
+            assert np.array_equal(got[r], expect)
+        assert np.max(np.abs(got[r] - expect)) <= 1e-13
 
 
 def test_fold_left_order_is_not_reversed():
